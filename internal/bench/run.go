@@ -37,10 +37,6 @@ type Spec struct {
 	// Surrogate overrides the neuron's surrogate gradient ("atan", "rect",
 	// "sigmoid"); empty means atan (ablation A4).
 	Surrogate string
-	// TimeParallel builds the model with ParLIF neurons: the membrane is
-	// computed for all T timesteps in one banded filter pass instead of the
-	// sequential recurrence (identical soft-reset dynamics; see snn.ParLIF).
-	TimeParallel bool
 	// Shape overrides NDSNN's ramp shape ("cubic", "linear", "step");
 	// empty means cubic (ablation A2).
 	Shape string
@@ -87,7 +83,6 @@ func Run(s Scale, spec Spec, ds *data.Dataset) (*train.Result, error) {
 	if spec.Surrogate != "" {
 		neuron.Surrogate = snn.SurrogateByName(spec.Surrogate)
 	}
-	neuron.TimeParallel = spec.TimeParallel
 	net := models.Build(models.Config{
 		Arch: spec.Arch, Classes: ds.Config.Classes,
 		InC: ds.Config.C, InH: ds.Config.H, InW: ds.Config.W,

@@ -207,8 +207,6 @@ func stageOutSlot(s stage) int {
 		return st.slot
 	case *lifStage:
 		return st.slot
-	case *parLIFStage:
-		return st.slot
 	case *maxPoolStage:
 		return st.slot
 	case *avgPoolStage:

@@ -377,21 +377,6 @@ func (c *compiler) newLIFStage(cfg snn.NeuronConfig) *lifStage {
 	return &lifStage{cfg: cfg, slot: c.actSlot(), stateSlot: c.lifSlot()}
 }
 
-// neuronStage compiles a spiking layer (LIF or ParLIF) into its stage.
-func (c *compiler) neuronStage(l layers.Layer) (stage, error) {
-	switch nl := l.(type) {
-	case *snn.LIF:
-		return c.newLIFStage(nl.Config), nil
-	case *snn.ParLIF:
-		return &parLIFStage{
-			cfg: nl.Config, soft: nl.ResetMode == snn.ParResetSoft,
-			slot: c.actSlot(), stateSlot: c.lifSlot(),
-		}, nil
-	default:
-		return nil, fmt.Errorf("infer: cannot compile neuron of type %T", l)
-	}
-}
-
 func (c *compiler) compile(ls []layers.Layer) ([]stage, error) {
 	var out []stage
 	for i := 0; i < len(ls); i++ {
@@ -452,15 +437,6 @@ func (c *compiler) compile(ls []layers.Layer) ([]stage, error) {
 		case *snn.LIF:
 			din := c.dt
 			s := c.newLIFStage(l.Config)
-			out = append(out, s)
-			c.dt = dtSpike
-			c.record(s, din, c.dt)
-		case *snn.ParLIF:
-			s, err := c.neuronStage(l)
-			if err != nil {
-				return nil, err
-			}
-			din := c.dt
 			out = append(out, s)
 			c.dt = dtSpike
 			c.record(s, din, c.dt)
@@ -562,10 +538,7 @@ func (c *compiler) compileResidual(b *snn.ResidualBlock) (stage, error) {
 	sumSlot := c.actSlot()
 	c.recordKind("sum", dtMain, dtSum, dtSum.onGrid(), sumSlot)
 	c.dt = dtSum
-	outStage, err := c.neuronStage(b.LIF2)
-	if err != nil {
-		return nil, err
-	}
+	outStage := c.newLIFStage(b.LIF2.Config)
 	c.dt = dtSpike
 	c.record(outStage, dtSum, c.dt)
 	c.prefix, c.seq = outerPrefix, outerSeq

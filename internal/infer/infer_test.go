@@ -224,26 +224,3 @@ func TestEngineDeterministicAcrossResets(t *testing.T) {
 		}
 	}
 }
-
-func TestEngineMatchesTimeParallelModel(t *testing.T) {
-	// ParLIF neurons: training runs the banded time-parallel membrane while
-	// the compiled engine streams the equivalent sequential recurrence, so
-	// this also pins the two formulations against each other end to end
-	// (residual blocks included — their output neuron compiles per type).
-	ds := data.SynthSmall(4, 32, 8, 19)
-	neuron := snn.DefaultNeuron()
-	neuron.TimeParallel = true
-	net := models.Build(models.Config{
-		Arch: "resnet19", Classes: 4, InC: 3, InH: 16, InW: 16,
-		Timesteps: 4, Neuron: neuron, Profile: models.ProfileTiny, Seed: 6,
-	})
-	if _, ok := net.Layers[2].(*snn.ParLIF); !ok {
-		t.Fatalf("expected ParLIF stem neuron, got %T", net.Layers[2])
-	}
-	trainBriefly(t, net, ds)
-	eng, err := infer.Compile(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEquivalent(t, net, eng, ds, 3)
-}

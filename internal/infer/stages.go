@@ -353,38 +353,6 @@ func (s *lifStage) step(sc *Scratch, in *act) *act {
 	return out
 }
 
-// parLIFStage replicates ParLIF's deterministic dynamics. Inference streams
-// one timestep at a time, so the stage runs the sequential recurrence the
-// time-parallel training formulation is equivalent to: v[t] = α·v[t-1] + I[t]
-// (− ϑ·o[t-1] with the soft reset). Stochastic firing is a training-time
-// regularizer; the compiled engine thresholds deterministically, the standard
-// MAP readout, so serving stays reproducible and batch-order independent.
-type parLIFStage struct {
-	cfg             snn.NeuronConfig
-	soft            bool
-	slot, stateSlot int
-}
-
-func (s *parLIFStage) step(sc *Scratch, in *act) *act {
-	n := len(in.data)
-	mv, oPrev := sc.lifBuf(s.stateSlot, n)
-	out := sc.actBufShape(s.slot, in.shape)
-	cfg := s.cfg
-	for i, x := range in.data {
-		v := cfg.Alpha*mv[i] + x
-		if s.soft {
-			v -= cfg.Threshold * oPrev[i]
-		}
-		mv[i] = v
-		if v >= cfg.Threshold {
-			out.data[i] = 1
-		}
-	}
-	copy(oPrev, out.data)
-	out.refreshEvents()
-	return out
-}
-
 // maxPoolStage pools densely (cheap relative to synaptic work), writing
 // into its arena slot.
 type maxPoolStage struct {
@@ -484,12 +452,11 @@ func (s *flattenStage) step(sc *Scratch, in *act) *act {
 	return a
 }
 
-// residualStage runs both paths and the output neuron (a LIF or ParLIF
-// stage, whichever the block was built with).
+// residualStage runs both paths and the output neuron.
 type residualStage struct {
 	main     []stage
 	shortcut []stage
-	out      stage
+	out      *lifStage
 	sumSlot  int
 }
 

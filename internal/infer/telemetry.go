@@ -111,8 +111,6 @@ func stageKind(s stage) string {
 		return "affine"
 	case *lifStage:
 		return "lif"
-	case *parLIFStage:
-		return "parlif"
 	case *maxPoolStage:
 		return "maxpool"
 	case *avgPoolStage:

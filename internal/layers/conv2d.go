@@ -340,66 +340,94 @@ func (l *Conv2d) EventStats() metrics.EventStats { return l.events.snapshot() }
 // ResetEventStats zeroes the event-path counters.
 func (l *Conv2d) ResetEventStats() { l.events.reset() }
 
+// sampleGrad runs the backward pass of batch sample bi, writing its weight
+// gradient into dw (dense) or val (pattern-aligned, when the gradient is
+// sparse) and its bias gradient into db (nil when the layer has no bias).
+type sampleGrad func(bi int, dw *tensor.Tensor, val, db []float32)
+
+// gradPartialFloats bounds the floats that one backward call's per-sample
+// partial gradients hold at once (4 MiB). A batch whose partials would exceed
+// it runs in windows of samples, each reduced before the next starts.
+const gradPartialFloats = 1 << 20
+
+// gradParts recycles parallelGrad's partial-gradient buffers across calls,
+// so a backward pass does not allocate, and the runtime zero, a fresh one
+// per layer and timestep.
+var gradParts sync.Pool
+
 // parallelGrad is the shared batch-partition/gradient-reduction scaffolding
-// of the backward paths: it splits [0,b) across up to GOMAXPROCS workers,
-// hands each a private gradient accumulator (a pattern-aligned vals slice
-// when sparseGrad, else a dense dW tensor; plus a bias part when the layer
-// has one), and after all workers finish folds the parts into
-// Weight.Grad/Bias.Grad. body processes samples [lo,hi) and must only write
-// its own accumulators.
-func (l *Conv2d) parallelGrad(b, ckk int, wcsr *sparse.CSR, sparseGrad bool,
-	body func(lo, hi int, dwLocal *tensor.Tensor, valLocal, dbLocal []float32)) {
-	procs := runtime.GOMAXPROCS(0)
-	if procs > b {
-		procs = b
+// of the backward paths. It runs the samples on the tensor pool in
+// contiguous strips, each sample into its own zeroed partial gradient, then
+// adds the partials in sample order into a zeroed accumulator, which is added
+// to Weight.Grad/Bias.Grad once. The kernels add one whole dot product per
+// sample, so every gradient element is summed exactly as a serial pass over
+// the batch sums it, at any GOMAXPROCS. newWorker is called once per strip:
+// the sampleGrad it returns closes over that strip's scratch buffers and
+// must write only its partial and its own sample's input gradient.
+func (l *Conv2d) parallelGrad(b, ckk int, wcsr *sparse.CSR, sparseGrad bool, newWorker func() sampleGrad) {
+	strips := min(runtime.GOMAXPROCS(0), b)
+	n := l.OutC * ckk
+	if sparseGrad {
+		n = wcsr.NNZ()
 	}
-	if procs < 1 {
-		procs = 1
-	}
-	chunk := (b + procs - 1) / procs
-	dwParts := make([]*tensor.Tensor, 0, procs)
-	valParts := make([][]float32, 0, procs)
-	dbParts := make([][]float32, 0, procs)
-	var wg sync.WaitGroup
-	for lo := 0; lo < b; lo += chunk {
-		hi := lo + chunk
-		if hi > b {
-			hi = b
-		}
-		var dwLocal *tensor.Tensor
-		var valLocal []float32
-		if sparseGrad {
-			valLocal = make([]float32, wcsr.NNZ())
-			valParts = append(valParts, valLocal)
-		} else {
-			dwLocal = tensor.New(l.OutC, ckk)
-			dwParts = append(dwParts, dwLocal)
-		}
-		var dbLocal []float32
-		if l.Bias != nil {
-			dbLocal = make([]float32, l.OutC)
-		}
-		dbParts = append(dbParts, dbLocal)
-		wg.Add(1)
-		go func(lo, hi int, dwLocal *tensor.Tensor, valLocal, dbLocal []float32) {
-			defer wg.Done()
-			body(lo, hi, dwLocal, valLocal, dbLocal)
-		}(lo, hi, dwLocal, valLocal, dbLocal)
-	}
-	wg.Wait()
-	gw := l.Weight.Grad.Reshape(l.OutC, ckk)
-	for _, part := range dwParts {
-		gw.AddInPlace(part)
-	}
-	for _, part := range valParts {
-		sparse.AddValsInto(gw, wcsr, part)
-	}
+	nb := 0
 	if l.Bias != nil {
-		for _, part := range dbParts {
-			for f, v := range part {
-				l.Bias.Grad.Data[f] += v
+		nb = l.OutC
+	}
+	slot := n + nb
+	window := min(b, max(strips, gradPartialFloats/max(slot, 1)))
+	// Slot 0 is the accumulator, slot 1+i the partial of the window's sample
+	// i: its weight part, then its bias part.
+	buf, _ := gradParts.Get().(*[]float32)
+	if buf == nil || cap(*buf) < (window+1)*slot {
+		buf = new([]float32)
+		*buf = make([]float32, (window+1)*slot)
+	}
+	defer gradParts.Put(buf)
+	parts := (*buf)[:(window+1)*slot]
+	clear(parts[:slot])
+	workers := make([]sampleGrad, strips)
+	for lo := 0; lo < b; lo += window {
+		hi := min(lo+window, b)
+		tensor.ParallelForStriped(hi-lo, strips, func(s, from, to int) {
+			if workers[s] == nil {
+				workers[s] = newWorker()
 			}
+			for i := from; i < to; i++ {
+				part := parts[(i+1)*slot : (i+2)*slot]
+				clear(part)
+				var dw *tensor.Tensor
+				var val, db []float32
+				if sparseGrad {
+					val = part[:n]
+				} else {
+					dw = tensor.FromSlice(part[:n], l.OutC, ckk)
+				}
+				if nb > 0 {
+					db = part[n:]
+				}
+				workers[s](lo+i, dw, val, db)
+			}
+		})
+		for i := 1; i <= hi-lo; i++ {
+			addInto(parts[:slot], parts[i*slot:(i+1)*slot])
 		}
+	}
+	gw := l.Weight.Grad.Reshape(l.OutC, ckk)
+	if sparseGrad {
+		sparse.AddValsInto(gw, wcsr, parts[:n])
+	} else {
+		addInto(gw.Data, parts[:n])
+	}
+	if nb > 0 {
+		addInto(l.Bias.Grad.Data, parts[n:slot])
+	}
+}
+
+// addInto adds src into dst elementwise.
+func addInto(dst, src []float32) {
+	for i, v := range src {
+		dst[i] += v
 	}
 }
 
@@ -433,7 +461,7 @@ func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		kernelWorkers = sparse.EffectiveWorkers(wcsr.Rows)
 	}
 
-	l.parallelGrad(b, ckk, wcsr, sparseGrad, func(lo, hi int, dwLocal *tensor.Tensor, valLocal, dbLocal []float32) {
+	l.parallelGrad(b, ckk, wcsr, sparseGrad, func() sampleGrad {
 		col := make([]float32, ckk*p)
 		colT := tensor.FromSlice(col, ckk, p)
 		dcol := make([]float32, ckk*p)
@@ -446,7 +474,7 @@ func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				xbuf = make([]float32, chw)
 			}
 		}
-		for bi := lo; bi < hi; bi++ {
+		return func(bi int, dwLocal *tensor.Tensor, valLocal, dbLocal []float32) {
 			var ev *sparse.Events
 			if xEv != nil && sparseGrad {
 				// Replay: rebuild this sample's im2col event pattern straight
@@ -551,7 +579,7 @@ func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
 		kernelWorkers = sparse.EffectiveWorkers(wcsr.Rows)
 	}
 
-	l.parallelGrad(b, ckk, wcsr, true, func(lo, hi int, _ *tensor.Tensor, valLocal, dbLocal []float32) {
+	l.parallelGrad(b, ckk, wcsr, true, func() sampleGrad {
 		rowPtrs := make([][]int32, T)
 		evIdxs := make([][]int32, T)
 		evs := make([]*sparse.Events, T)
@@ -561,7 +589,7 @@ func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
 		dyF := tensor.New(l.OutC, T*p)
 		dcolF := tensor.New(ckk, T*p)
 		dcol := make([]float32, ckk*p)
-		for bi := lo; bi < hi; bi++ {
+		return func(bi int, _ *tensor.Tensor, valLocal, dbLocal []float32) {
 			for t := 0; t < T; t++ {
 				flat := recs[t].ColIdx[recs[t].RowPtr[bi]:recs[t].RowPtr[bi+1]]
 				evIdxs[t] = tensor.Im2ColPatternFromEvents(flat, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, rowPtrs[t], evIdxs[t][:0])

@@ -79,8 +79,8 @@ type Config struct {
 
 // Build constructs the requested architecture. Every network runs the tape
 // engine's time-major (layer-major) schedule, where the fused-timestep
-// kernels and the ParLIF sequence fast paths live; the old step-major loop
-// is pinned as golden fixtures in the snn package's equivalence tests.
+// kernels live; the old step-major loop is pinned as golden fixtures in the
+// snn package's equivalence tests.
 func Build(cfg Config) *snn.Network {
 	switch cfg.Arch {
 	case "vgg16":
@@ -124,7 +124,7 @@ func VGG16(cfg Config) *snn.Network {
 			ls = append(ls,
 				layers.NewConv2d(name, inC, outC, 3, 1, 1, false, r),
 				layers.NewBatchNorm(name+".bn", outC),
-				cfg.Neuron.NewNeuron(),
+				cfg.Neuron.New(),
 			)
 			inC = outC
 		case string:
@@ -146,10 +146,10 @@ func VGG16(cfg Config) *snn.Network {
 		layers.NewFlatten(),
 		layers.NewLinear("fc1", inC, fcW, true, r),
 		layers.NewBatchNorm("fc1.bn", fcW),
-		cfg.Neuron.NewNeuron(),
+		cfg.Neuron.New(),
 		layers.NewLinear("fc2", fcW, fcW, true, r),
 		layers.NewBatchNorm("fc2.bn", fcW),
-		cfg.Neuron.NewNeuron(),
+		cfg.Neuron.New(),
 		layers.NewLinear("fc3", fcW, cfg.Classes, true, r),
 	)
 	return &snn.Network{Layers: ls, T: cfg.Timesteps}
@@ -169,7 +169,7 @@ func ResNet19(cfg Config) *snn.Network {
 	ls = append(ls,
 		layers.NewConv2d("stem", cfg.InC, c1, 3, 1, 1, false, r),
 		layers.NewBatchNorm("stem.bn", c1),
-		cfg.Neuron.NewNeuron(),
+		cfg.Neuron.New(),
 	)
 	size := cfg.InH
 	stage := func(name string, inC, outC, blocks, stride int) int {
@@ -196,7 +196,7 @@ func ResNet19(cfg Config) *snn.Network {
 		layers.NewFlatten(),
 		layers.NewLinear("fc1", c, fcW, true, r),
 		layers.NewBatchNorm("fc1.bn", fcW),
-		cfg.Neuron.NewNeuron(),
+		cfg.Neuron.New(),
 		layers.NewLinear("fc2", fcW, cfg.Classes, true, r),
 	)
 	return &snn.Network{Layers: ls, T: cfg.Timesteps}
@@ -223,19 +223,19 @@ func LeNet5(cfg Config) *snn.Network {
 	ls := []layers.Layer{
 		layers.NewConv2d("conv1", cfg.InC, c1, 5, 1, 0, false, r),
 		layers.NewBatchNorm("conv1.bn", c1),
-		cfg.Neuron.NewNeuron(),
+		cfg.Neuron.New(),
 		layers.NewAvgPool2d(2, 2),
 		layers.NewConv2d("conv2", c1, c2, 5, 1, 0, false, r),
 		layers.NewBatchNorm("conv2.bn", c2),
-		cfg.Neuron.NewNeuron(),
+		cfg.Neuron.New(),
 		layers.NewAvgPool2d(2, 2),
 		layers.NewFlatten(),
 		layers.NewLinear("fc1", c2*size*size, f1, true, r),
 		layers.NewBatchNorm("fc1.bn", f1),
-		cfg.Neuron.NewNeuron(),
+		cfg.Neuron.New(),
 		layers.NewLinear("fc2", f1, f2, true, r),
 		layers.NewBatchNorm("fc2.bn", f2),
-		cfg.Neuron.NewNeuron(),
+		cfg.Neuron.New(),
 		layers.NewLinear("fc3", f2, cfg.Classes, true, r),
 	}
 	return &snn.Network{Layers: ls, T: cfg.Timesteps}

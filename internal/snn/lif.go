@@ -22,12 +22,6 @@ type NeuronConfig struct {
 	HardReset bool
 	// Surrogate is the Heaviside-derivative approximation; nil means ATan.
 	Surrogate Surrogate
-	// TimeParallel selects the ParLIF neuron: the membrane is computed for
-	// all T timesteps at once as a banded causal filter (see ParLIF) instead
-	// of the sequential recurrence. Ignored (sequential LIF is used) when
-	// HardReset is set — the multiplicative reset's spike-dependent decay has
-	// no parallel filter form.
-	TimeParallel bool
 }
 
 // DefaultNeuron returns the paper's configuration: α=0.5, ϑ=1, detached
@@ -46,16 +40,6 @@ func (c NeuronConfig) surrogate() Surrogate {
 // New constructs a LIF layer from the configuration.
 func (c NeuronConfig) New() *LIF {
 	return &LIF{Config: c}
-}
-
-// NewNeuron constructs the configured spiking layer: ParLIF when
-// TimeParallel is set (soft reset only), sequential LIF otherwise. Model
-// builders go through this so the selection knob reaches every neuron.
-func (c NeuronConfig) NewNeuron() layers.Layer {
-	if c.TimeParallel && !c.HardReset {
-		return NewParLIF(c)
-	}
-	return c.New()
 }
 
 // LIF is a layer of Leaky Integrate-and-Fire neurons with soft (subtractive)

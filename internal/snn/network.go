@@ -37,8 +37,7 @@ type Network struct {
 // tape execution engine: all T timestep inputs are materialized up front and
 // tape.Run drives each layer across the whole sequence, which lets
 // Conv2d/Linear fuse the timesteps of a sample into one weight traversal
-// each way (sparse.FuseTimesteps / sparse.StackTimesteps) and engages the
-// SequenceLayer fast paths (ParLIF's fused membrane solve). It returns the
+// each way (sparse.FuseTimesteps / sparse.StackTimesteps). It returns the
 // output of the final layer at each timestep. The step-major schedule this
 // replaced — timesteps outer, layers inner — is pinned as golden fixtures in
 // tape_equiv_test.go; the two orders accumulate identical results for these
@@ -160,10 +159,7 @@ func (n *Network) ResetEventStats() {
 // (smooth mode exists for finite-difference gradient verification).
 func (n *Network) SetSmooth(smooth bool) {
 	n.Walk(func(l layers.Layer) {
-		switch nl := l.(type) {
-		case *LIF:
-			nl.Smooth = smooth
-		case *ParLIF:
+		if nl, ok := l.(*LIF); ok {
 			nl.Smooth = smooth
 		}
 	})

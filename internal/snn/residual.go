@@ -21,16 +21,13 @@ import (
 type ResidualBlock struct {
 	Conv1 *layers.Conv2d
 	BN1   *layers.BatchNorm
-	// LIF1/LIF2 hold the block's spiking nonlinearities — historically always
-	// *LIF, now whatever NeuronConfig.NewNeuron selects (ParLIF included), so
-	// the fields are typed by the layer contract.
-	LIF1  layers.Layer
+	LIF1  *LIF
 	Conv2 *layers.Conv2d
 	BN2   *layers.BatchNorm
 	// SCConv/SCBN form the projection shortcut; both nil for identity.
 	SCConv *layers.Conv2d
 	SCBN   *layers.BatchNorm
-	LIF2   layers.Layer
+	LIF2   *LIF
 }
 
 // NewResidualBlock constructs a spiking basic block mapping inC channels to
@@ -39,10 +36,10 @@ func NewResidualBlock(name string, inC, outC, stride int, neuron NeuronConfig, r
 	b := &ResidualBlock{
 		Conv1: layers.NewConv2d(name+".conv1", inC, outC, 3, stride, 1, false, r),
 		BN1:   layers.NewBatchNorm(name+".bn1", outC),
-		LIF1:  neuron.NewNeuron(),
+		LIF1:  neuron.New(),
 		Conv2: layers.NewConv2d(name+".conv2", outC, outC, 3, 1, 1, false, r),
 		BN2:   layers.NewBatchNorm(name+".bn2", outC),
-		LIF2:  neuron.NewNeuron(),
+		LIF2:  neuron.New(),
 	}
 	if inC != outC || stride != 1 {
 		b.SCConv = layers.NewConv2d(name+".sc", inC, outC, 1, stride, 0, false, r)
@@ -71,8 +68,7 @@ func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // ForwardSeq runs all T timesteps time-major through both paths: the
 // sublayer chains are driven by the tape engine (so the inner convolutions
-// get the fused batched-timestep GEMM and a time-parallel output neuron gets
-// its whole summed sequence at once), with the per-timestep addition in
+// get the fused batched-timestep GEMM), with the per-timestep addition in
 // between. Identical to T Forward calls.
 func (b *ResidualBlock) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 	main := tape.Run([]tape.Layer{b.Conv1, b.BN1, b.LIF1, b.Conv2, b.BN2}, xs, train)
@@ -92,7 +88,7 @@ func (b *ResidualBlock) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Te
 
 // BackwardSeq replays the whole tape time-major through both paths: each
 // sublayer chain is driven by tape.RunBackward, so fused sequence backwards
-// (Conv2d's stacked-timestep SDDMM, ParLIF's anticausal filter) engage.
+// (Conv2d's stacked-timestep SDDMM) engage.
 // Accumulates the same parameter gradients and returns the same input
 // gradients as T Backward calls, up to float summation order.
 func (b *ResidualBlock) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {

@@ -266,8 +266,8 @@ func TestResidualBlockGradients(t *testing.T) {
 	r := rng.New(32)
 	neuron := snn.NeuronConfig{Alpha: 0.5, Threshold: 0.8, DetachReset: false, Surrogate: snn.ATan{}}
 	b := snn.NewResidualBlock("rb", 2, 3, 2, neuron, r)
-	b.LIF1.(*snn.LIF).Smooth = true
-	b.LIF2.(*snn.LIF).Smooth = true
+	b.LIF1.Smooth = true
+	b.LIF2.Smooth = true
 	// eps below the default: BN statistics over a tiny batch plus the smooth
 	// LIF make the probe loss strongly curved, so 1e-2 steps overshoot.
 	testutil.GradCheck(t, "residual-projection", b, testutil.GradCheckConfig{InShape: []int{2, 2, 6, 6}, Timesteps: 2, Eps: 3e-3, Tol: 4e-2})
@@ -280,8 +280,8 @@ func TestResidualBlockIdentityGradients(t *testing.T) {
 	if b.SCConv != nil {
 		t.Fatal("identity block unexpectedly has a projection shortcut")
 	}
-	b.LIF1.(*snn.LIF).Smooth = true
-	b.LIF2.(*snn.LIF).Smooth = true
+	b.LIF1.Smooth = true
+	b.LIF2.Smooth = true
 	testutil.GradCheck(t, "residual-identity", b, testutil.GradCheckConfig{InShape: []int{2, 3, 5, 5}, Timesteps: 2, Eps: 3e-3, Tol: 4e-2})
 }
 

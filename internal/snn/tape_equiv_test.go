@@ -2,7 +2,9 @@ package snn_test
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"ndsnn/internal/layers"
@@ -23,7 +25,9 @@ import (
 // (that records from the current dense-cache time-major engine).
 
 // buildEquivNet constructs a masked spiking stack deterministically from
-// seed. kind is "plain" or "residual"; hardReset switches the LIF variant.
+// seed. kind is "plain", "residual" or "wide"; hardReset switches the LIF
+// variant. In "wide", c2's dense weight gradient is larger than the conv
+// backward's partial-gradient budget, so its samples are reduced in windows.
 func buildEquivNet(seed uint64, kind string, hardReset bool) *snn.Network {
 	r := rng.New(seed)
 	neuron := snn.DefaultNeuron()
@@ -42,6 +46,22 @@ func buildEquivNet(seed uint64, kind string, hardReset bool) *snn.Network {
 		c1 := layers.NewConv2d("c1", 3, 6, 3, 1, 1, false, r)
 		c2 := layers.NewConv2d("c2", 6, 6, 3, 1, 1, true, r)
 		fc := layers.NewLinear("fc", 6*6*6, 5, true, r)
+		mr := rng.New(seed * 7)
+		mask(c1.Weight, 0.1, mr)
+		mask(c2.Weight, 0.1, mr)
+		mask(fc.Weight, 0.1, mr)
+		return &snn.Network{
+			Layers: []layers.Layer{
+				c1, neuron.New(),
+				c2, neuron.New(),
+				layers.NewFlatten(), fc,
+			},
+			T: 4,
+		}
+	case "wide":
+		c1 := layers.NewConv2d("c1", 3, 256, 3, 2, 1, false, r)
+		c2 := layers.NewConv2d("c2", 256, 256, 3, 2, 1, true, r)
+		fc := layers.NewLinear("fc", 256*2*2, 5, true, r)
 		mr := rng.New(seed * 7)
 		mask(c1.Weight, 0.1, mr)
 		mask(c2.Weight, 0.1, mr)
@@ -191,6 +211,44 @@ func TestTapeMatchesGoldenFixtures(t *testing.T) {
 					for _, p := range net.Params() {
 						p.InvalidateCSR()
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestGradientsIndependentOfGOMAXPROCS pins training numerics to be
+// independent of the host's core count: outputs and every parameter gradient
+// must equal the GOMAXPROCS=1 run bit for bit at any thread budget, for
+// every buildEquivNet kind with dense and active-position-only gradients.
+func TestGradientsIndependentOfGOMAXPROCS(t *testing.T) {
+	oldD, oldR := layers.CSRMaxDensity, layers.EventMaxRate
+	layers.CSRMaxDensity, layers.EventMaxRate = 1, 1
+	defer func() { layers.CSRMaxDensity, layers.EventMaxRate = oldD, oldR }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	const seed = uint64(97)
+	run := func(procs int, kind string, sparseGrad bool) []*tensor.Tensor {
+		runtime.GOMAXPROCS(procs)
+		outs, grads := runEquivNet(buildEquivNet(seed, kind, false), seed, sparseGrad)
+		return append(outs, grads...)
+	}
+	for _, kind := range []string{"plain", "residual", "wide"} {
+		for _, sparseGrad := range []bool{false, true} {
+			want := run(1, kind, sparseGrad)
+			for _, procs := range []int{2, 3, 4} {
+				got := run(procs, kind, sparseGrad)
+				diff, total := 0, 0
+				for i := range want {
+					for j, v := range want[i].Data {
+						total++
+						if math.Float32bits(v) != math.Float32bits(got[i].Data[j]) {
+							diff++
+						}
+					}
+				}
+				if diff > 0 {
+					t.Errorf("%s/sparseGrad=%v: GOMAXPROCS=%d differs from GOMAXPROCS=1 in %d of %d values", kind, sparseGrad, procs, diff, total)
 				}
 			}
 		}

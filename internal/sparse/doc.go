@@ -29,12 +29,7 @@
 //   - "MatMulDenseCSR*" puts the dense operand on the left (X·A, X·Aᵀ),
 //     which lets batch-major activations parallelize over batch rows.
 //   - "Events" means the binary operand is an Events pattern and the kernel
-//     is fully event-driven (work ∝ spike count). "Masked" means a
-//     colActive []bool restricts the dense operand's columns — the
-//     whole-column skip for operands that are sparse but not binary.
-//   - "Batch" means one traversal of A serves all T timesteps of a batch
-//     (the batched-timestep GEMM; pattern and values are shared across
-//     timesteps, only the spike columns differ).
+//     is fully event-driven (work ∝ spike count).
 //   - "Serial" variants run on the calling goroutine, for callers that
 //     already parallelize across the batch (the conv layers); "Into"
 //     variants write (or accumulate) into a caller-owned destination.

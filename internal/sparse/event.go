@@ -398,99 +398,3 @@ func MatMulEventsCSCInto(dst *tensor.Tensor, ev *Events, a *CSC, accumulate bool
 		}
 	})
 }
-
-// CSRMatMulMaskedInto is CSRMatMulInto restricted to the active columns of
-// B: dst[:,j] is computed only where colActive[j] (and zeroed elsewhere
-// unless accumulate). colActive[j]=false asserts B's column j is entirely
-// zero, so the skipped outputs are exactly zero in the dense result too.
-// This is the whole-column event skip for operands that are sparse but not
-// binary. Parallelized over A's rows.
-func CSRMatMulMaskedInto(dst *tensor.Tensor, a *CSR, b *tensor.Tensor, colActive []bool, accumulate bool) {
-	n, act := checkCSRMatMulMasked(dst, a, b, colActive)
-	rowWork := len(act) * (1 + a.NNZ()/max1(a.Rows))
-	tensor.ParallelFor(a.Rows, 1+rowWork, func(lo, hi int) {
-		csrMatMulMaskedRows(dst.Data, a, b.Data, n, act, accumulate, lo, hi)
-	})
-}
-
-// CSRMatMulMaskedSerialInto is CSRMatMulMaskedInto on the calling goroutine.
-func CSRMatMulMaskedSerialInto(dst *tensor.Tensor, a *CSR, b *tensor.Tensor, colActive []bool, accumulate bool) {
-	n, act := checkCSRMatMulMasked(dst, a, b, colActive)
-	csrMatMulMaskedRows(dst.Data, a, b.Data, n, act, accumulate, 0, a.Rows)
-}
-
-func csrMatMulMaskedRows(od []float32, a *CSR, bd []float32, n int, act []int32, accumulate bool, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		orow := od[r*n : (r+1)*n]
-		if !accumulate {
-			for j := range orow {
-				orow[j] = 0
-			}
-		}
-		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-			v := a.Val[p]
-			if v == 0 {
-				continue
-			}
-			brow := bd[int(a.ColIdx[p])*n:]
-			brow = brow[:n]
-			for _, j := range act {
-				orow[j] += v * brow[j]
-			}
-		}
-	}
-}
-
-func checkCSRMatMulMasked(dst *tensor.Tensor, a *CSR, b *tensor.Tensor, colActive []bool) (int, []int32) {
-	n := checkCSRMatMul(dst, a, b)
-	if len(colActive) != n {
-		panic(fmt.Sprintf("sparse: CSRMatMulMasked colActive length %d, want %d", len(colActive), n))
-	}
-	act := make([]int32, 0, n)
-	for j, a := range colActive {
-		if a {
-			act = append(act, int32(j))
-		}
-	}
-	return n, act
-}
-
-// MatMulDenseCSRTMaskedInto is MatMulDenseCSRTInto restricted to the active
-// columns of X: terms whose feature index q has colActive[q]=false are
-// skipped. colActive[q]=false asserts X's column q is entirely zero (no
-// sample has a spike at feature q), so skipping it never changes the result.
-// Parallelized over X's rows.
-func MatMulDenseCSRTMaskedInto(dst, x *tensor.Tensor, a *CSR, colActive []bool, accumulate bool) {
-	bRows, k := dims2(x, "MatMulDenseCSRTMasked x")
-	if k != a.Cols {
-		panic(fmt.Sprintf("sparse: MatMulDenseCSRTMasked inner dims %d vs %d", k, a.Cols))
-	}
-	if len(colActive) != k {
-		panic(fmt.Sprintf("sparse: MatMulDenseCSRTMasked colActive length %d, want %d", len(colActive), k))
-	}
-	dm, dn := dims2(dst, "MatMulDenseCSRTMasked dst")
-	if dm != bRows || dn != a.Rows {
-		panic(fmt.Sprintf("sparse: MatMulDenseCSRTMasked dst shape [%d,%d], want [%d,%d]", dm, dn, bRows, a.Rows))
-	}
-	xd, od := x.Data, dst.Data
-	rowWork := 2 * (1 + a.NNZ())
-	tensor.ParallelFor(bRows, rowWork, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xrow := xd[i*k : (i+1)*k]
-			orow := od[i*a.Rows : (i+1)*a.Rows]
-			for r := 0; r < a.Rows; r++ {
-				var s float32
-				for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-					if q := a.ColIdx[p]; colActive[q] {
-						s += a.Val[p] * xrow[q]
-					}
-				}
-				if accumulate {
-					orow[r] += s
-				} else {
-					orow[r] = s
-				}
-			}
-		}
-	})
-}

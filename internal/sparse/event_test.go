@@ -178,64 +178,3 @@ func TestCSCGatherValues(t *testing.T) {
 		t.Fatalf("post-gather CSC kernel differs by %v", d)
 	}
 }
-
-func TestCSRMatMulMaskedMatchesDense(t *testing.T) {
-	const m, k, n = 11, 30, 20
-	for _, rate := range spikeRates {
-		r := rng.New(91 + uint64(rate*100))
-		w, c := maskedWeights(m, k, 0.25, r)
-		// Non-binary sparse operand: scale spikes by arbitrary values so the
-		// masked (not event) path is the right tool.
-		b := spikeMatrix(k, n, rate, r)
-		for i := range b.Data {
-			b.Data[i] *= r.NormFloat32()
-		}
-		colActive := make([]bool, n)
-		for j := 0; j < n; j++ {
-			for q := 0; q < k; q++ {
-				if b.Data[q*n+j] != 0 {
-					colActive[j] = true
-					break
-				}
-			}
-		}
-		want := tensor.MatMul(w, b)
-		got := tensor.New(m, n)
-		CSRMatMulMaskedInto(got, c, b, colActive, false)
-		if d := maxAbsDiffT(want, got); d != 0 {
-			t.Fatalf("rate %v: masked kernel differs by %v", rate, d)
-		}
-		got.Zero()
-		CSRMatMulMaskedSerialInto(got, c, b, colActive, false)
-		if d := maxAbsDiffT(want, got); d != 0 {
-			t.Fatalf("rate %v: serial masked kernel differs by %v", rate, d)
-		}
-	}
-}
-
-func TestMatMulDenseCSRTMaskedMatchesDense(t *testing.T) {
-	const batch, in, out = 6, 44, 13
-	for _, rate := range spikeRates {
-		r := rng.New(101 + uint64(rate*100))
-		w, c := maskedWeights(out, in, 0.2, r)
-		x := spikeMatrix(batch, in, rate, r)
-		for i := range x.Data {
-			x.Data[i] *= r.NormFloat32()
-		}
-		colActive := make([]bool, in)
-		for q := 0; q < in; q++ {
-			for i := 0; i < batch; i++ {
-				if x.Data[i*in+q] != 0 {
-					colActive[q] = true
-					break
-				}
-			}
-		}
-		want := tensor.MatMulABT(x, w)
-		got := tensor.New(batch, out)
-		MatMulDenseCSRTMaskedInto(got, x, c, colActive, false)
-		if d := maxAbsDiffT(want, got); d != 0 {
-			t.Fatalf("rate %v: masked linear kernel differs by %v", rate, d)
-		}
-	}
-}

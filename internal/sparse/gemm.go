@@ -19,26 +19,14 @@ import (
 // convention (Aᵀ·B, A·Bᵀ); the MatMulDense* kernels put the dense operand on
 // the left, which lets batch-major activations parallelize over batch rows.
 
-// CSRMatMulInto computes dst = A·B (or dst += A·B when accumulate) for A in
-// CSR form [m,k] and dense B [k,n]. Parallelized over A's rows. This is the
-// conv forward primitive: sparse filters × dense im2col columns.
-func CSRMatMulInto(dst *tensor.Tensor, a *CSR, b *tensor.Tensor, accumulate bool) {
-	n := checkCSRMatMul(dst, a, b)
-	rowWork := n * (1 + a.NNZ()/max1(a.Rows))
-	tensor.ParallelFor(a.Rows, rowWork, func(lo, hi int) {
-		csrMatMulRows(dst.Data, a, b.Data, n, accumulate, lo, hi)
-	})
-}
-
-// CSRMatMulSerialInto is CSRMatMulInto on the calling goroutine, for callers
-// that already parallelize across the batch (the conv layers).
+// CSRMatMulSerialInto computes dst = A·B (or dst += A·B when accumulate) for
+// A in CSR form [m,k] and dense B [k,n], on the calling goroutine: its
+// callers (the conv layers) already parallelize across the batch. This is
+// the conv forward primitive: sparse filters × dense im2col columns.
 func CSRMatMulSerialInto(dst *tensor.Tensor, a *CSR, b *tensor.Tensor, accumulate bool) {
 	n := checkCSRMatMul(dst, a, b)
-	csrMatMulRows(dst.Data, a, b.Data, n, accumulate, 0, a.Rows)
-}
-
-func csrMatMulRows(od []float32, a *CSR, bd []float32, n int, accumulate bool, lo, hi int) {
-	for r := lo; r < hi; r++ {
+	od, bd := dst.Data, b.Data
+	for r := 0; r < a.Rows; r++ {
 		orow := od[r*n : (r+1)*n]
 		if !accumulate {
 			for j := range orow {
@@ -71,44 +59,26 @@ func checkCSRMatMul(dst *tensor.Tensor, a *CSR, b *tensor.Tensor) int {
 	return n
 }
 
-// CSRMatMulATBInto computes dst = Aᵀ·B (or += when accumulate) for A in CSR
-// form [m,k] and dense B [m,n]; dst is [k,n]. Parallelized over output
-// columns (each worker owns a column slab, so the row-major scatter is
-// race-free). This is the conv backward-data primitive: dcol = Wᵀ·dy.
-func CSRMatMulATBInto(dst *tensor.Tensor, a *CSR, b *tensor.Tensor, accumulate bool) {
-	n := checkCSRMatMulATB(dst, a, b)
-	// Each output column receives one multiply-add per stored non-zero, so
-	// the per-index cost handed to ParallelFor is ~NNZ, not NNZ/n.
-	colWork := 2 * (1 + a.NNZ())
-	tensor.ParallelFor(n, colWork, func(lo, hi int) {
-		csrMatMulATBCols(dst.Data, a, b.Data, n, accumulate, lo, hi)
-	})
-}
-
-// CSRMatMulATBSerialInto is CSRMatMulATBInto on the calling goroutine.
+// CSRMatMulATBSerialInto computes dst = Aᵀ·B (or += when accumulate) for A
+// in CSR form [m,k] and dense B [m,n], on the calling goroutine; dst is
+// [k,n]. This is the conv backward-data primitive: dcol = Wᵀ·dy.
 func CSRMatMulATBSerialInto(dst *tensor.Tensor, a *CSR, b *tensor.Tensor, accumulate bool) {
 	n := checkCSRMatMulATB(dst, a, b)
-	csrMatMulATBCols(dst.Data, a, b.Data, n, accumulate, 0, n)
-}
-
-func csrMatMulATBCols(od []float32, a *CSR, bd []float32, n int, accumulate bool, lo, hi int) {
+	od, bd := dst.Data, b.Data
 	if !accumulate {
-		for c := 0; c < a.Cols; c++ {
-			row := od[c*n+lo : c*n+hi]
-			for j := range row {
-				row[j] = 0
-			}
+		for i := range od {
+			od[i] = 0
 		}
 	}
 	for r := 0; r < a.Rows; r++ {
-		brow := bd[r*n+lo : r*n+hi]
+		brow := bd[r*n : (r+1)*n]
 		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
 			v := a.Val[p]
 			if v == 0 {
 				continue
 			}
 			c := int(a.ColIdx[p])
-			orow := od[c*n+lo : c*n+hi]
+			orow := od[c*n : (c+1)*n]
 			for j, bv := range brow {
 				orow[j] += v * bv
 			}

@@ -77,11 +77,6 @@ type Config struct {
 	InitialSparsity float64
 	// Timesteps overrides the scale's SNN simulation length when > 0.
 	Timesteps int
-	// TimeParallelNeurons trains with the ParLIF neuron: every LIF's
-	// membrane sequence is computed in one banded filter pass instead of the
-	// per-timestep recurrence (same soft-reset dynamics within float
-	// tolerance; pays off as Timesteps grows). See snn.ParLIF.
-	TimeParallelNeurons bool
 	// Scale is "unit", "bench" (default) or "paper".
 	Scale string
 	// Seed makes the run reproducible (default 1).
@@ -184,8 +179,7 @@ func Train(cfg Config) (*Result, error) {
 	res, err := bench.Run(bench.ScaleByName(cfg.Scale), bench.Spec{
 		Method: string(cfg.Method), Arch: cfg.Arch, Dataset: cfg.Dataset,
 		Sparsity: cfg.Sparsity, InitialSparsity: cfg.InitialSparsity,
-		Timesteps: cfg.Timesteps, TimeParallel: cfg.TimeParallelNeurons,
-		Seed: cfg.Seed,
+		Timesteps: cfg.Timesteps, Seed: cfg.Seed,
 	}, nil)
 	if err != nil {
 		return nil, err
@@ -230,12 +224,10 @@ func TrainModel(cfg Config) (*Model, *Result, error) {
 	if cfg.Timesteps > 0 {
 		t = cfg.Timesteps
 	}
-	neuron := snn.DefaultNeuron()
-	neuron.TimeParallel = cfg.TimeParallelNeurons
 	net := models.Build(models.Config{
 		Arch: cfg.Arch, Classes: ds.Config.Classes,
 		InC: ds.Config.C, InH: ds.Config.H, InW: ds.Config.W,
-		Timesteps: t, Neuron: neuron,
+		Timesteps: t, Neuron: snn.DefaultNeuron(),
 		Profile: s.Profile, Seed: cfg.Seed*31 + 7,
 	})
 	var reg *obs.Registry
@@ -250,8 +242,7 @@ func TrainModel(cfg Config) (*Model, *Result, error) {
 	res, err := bench.RunOn(s, bench.Spec{
 		Method: string(cfg.Method), Arch: cfg.Arch, Dataset: cfg.Dataset,
 		Sparsity: cfg.Sparsity, InitialSparsity: cfg.InitialSparsity,
-		Timesteps: cfg.Timesteps, TimeParallel: cfg.TimeParallelNeurons,
-		Seed: cfg.Seed,
+		Timesteps: cfg.Timesteps, Seed: cfg.Seed,
 	}, ds, net)
 	if err != nil {
 		return nil, nil, err
