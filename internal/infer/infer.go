@@ -83,7 +83,11 @@ type stage interface {
 // shareable plan. Concurrent callers are served from pooled Scratch arenas;
 // the only engine-level mutable state is the atomic SynOps roll-up.
 type Engine struct {
-	stages  []stage
+	stages []stage
+	// prefix counts the leading stages ahead of the first stateful stage (a
+	// LIF or a residual block). With direct encoding they see the same
+	// sample at every timestep, so a pass evaluates them once, at t=0.
+	prefix  int
 	T       int
 	classes int
 	synOps  atomic.Int64
@@ -170,8 +174,15 @@ func (e *Engine) DenseMACsPerTimestep() int64 {
 
 // Compile builds an engine from a trained network. The network is read, not
 // modified; BN running statistics must reflect training (i.e. compile after
-// training, as with any deployment export).
+// training, as with any deployment export). The network must use direct
+// encoding (a nil Encoder): the engine presents the analog sample itself at
+// every timestep and evaluates the stages ahead of the first LIF once per
+// pass, so a network with an input encoder is rejected with an error naming
+// the encoder type.
 func Compile(net *snn.Network) (*Engine, error) {
+	if err := checkDirectEncoding(net); err != nil {
+		return nil, err
+	}
 	e := &Engine{T: net.T}
 	c := &compiler{eng: e, dt: dtAnalog}
 	stages, err := c.compile(net.Layers)
@@ -239,7 +250,12 @@ func CompileQuantized(net *snn.Network, bits int) (*Engine, error) {
 // power of two, the engine stays bit-identical to the float engine running
 // on the dequantized weights (grid-snapped inputs, ≤8-bit weights) — the
 // PR 4 equivalence pin extended to the fully-integer path.
+//
+// Like Compile, it rejects a network with an input encoder.
 func CompileQuantizedConfig(net *snn.Network, cfg QuantConfig) (*Engine, error) {
+	if err := checkDirectEncoding(net); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if cfg.WeightBits < 2 || cfg.WeightBits > 16 {
 		return nil, fmt.Errorf("infer: unsupported bit width %d (want 2..16)", cfg.WeightBits)
@@ -276,6 +292,16 @@ func CompileQuantizedConfig(net *snn.Network, cfg QuantConfig) (*Engine, error) 
 	return e, nil
 }
 
+// checkDirectEncoding rejects a network with an input encoder. A Poisson or
+// latency encoder presents a different input at every timestep; the engine
+// would serve a different model.
+func checkDirectEncoding(net *snn.Network) error {
+	if net.Encoder != nil {
+		return fmt.Errorf("infer: cannot compile a network with input encoder %T (the engine supports direct encoding only)", net.Encoder)
+	}
+	return nil
+}
+
 // InputGrid returns the activation grid of the engine's input requant
 // boundary; ok is false when the engine was compiled without
 // ActivationBits. Samples already on this grid pass the boundary unchanged,
@@ -299,15 +325,31 @@ func (e *Engine) analogStageNames() []string {
 	return names
 }
 
-// finish freezes the compiled plan: stages, the arena slot layout, and the
-// scratch pool serving Infer/InferBatch.
+// finish freezes the compiled plan: stages, the time-invariant prefix, the
+// arena slot layout, and the scratch pool serving Infer/InferBatch.
 func (e *Engine) finish(stages []stage, c *compiler) {
 	e.stages = stages
+	e.prefix = prefixLen(stages)
 	e.nAct, e.nLIF, e.nInt, e.nOps = c.nAct, c.nLIF, c.nInt, c.nOps
 	if e.quant != nil {
 		e.quant.Stages = e.stageDT
 	}
 	e.pool.New = func() any { return e.NewScratch() }
+}
+
+// prefixLen returns the length of the time-invariant prefix: the leading
+// stages ahead of the first stateful one. Every other stage is a pure
+// function of its input, so fed the same sample at every timestep, each
+// prefix stage produces the same output at every timestep. Everything from
+// the first LIF on varies with t, so the prefix is always a leading run.
+func prefixLen(stages []stage) int {
+	for i, s := range stages {
+		switch s.(type) {
+		case *lifStage, *residualStage:
+			return i
+		}
+	}
+	return len(stages)
 }
 
 // acquire draws a pooled arena; release returns it for reuse. With
@@ -549,8 +591,13 @@ func (c *compiler) compileResidual(b *snn.ResidualBlock) (stage, error) {
 }
 
 // Infer runs one sample (shape [C,H,W], direct encoding) through T
-// timesteps and returns the time-averaged output of the final stage. Safe
-// for concurrent use; the request is served from a pooled arena.
+// timesteps and returns the time-averaged output of the final stage. The
+// time-invariant prefix (the stages ahead of the first LIF) runs once, at
+// t=0; timesteps 1..T−1 start at the first stateful stage from the prefix's
+// output. Every stage does the same arithmetic on the same input as a pass
+// that runs all stages T times, so the output is bit-identical to it, and
+// SynOps count the prefix's accumulates at all T timesteps. Safe for
+// concurrent use; the request is served from a pooled arena.
 func (e *Engine) Infer(sample *tensor.Tensor) []float32 {
 	sc := e.acquire()
 	out := e.InferScratch(sc, sample)
@@ -573,10 +620,20 @@ func (e *Engine) inferScratch(sc *Scratch, sample *tensor.Tensor, pt *PassTrace)
 	in := &sc.input
 	in.shape = appendShape(in.shape[:0], sample)
 	in.data = sample.Data
+	in.refreshEvents()
+	var pre *act
 	for t := 0; t < e.T; t++ {
 		faultPass.Fire()
-		in.refreshEvents()
-		cur := e.stepStages(sc, in)
+		if t == 0 {
+			pre = e.stepStages(sc, in, 0, e.prefix)
+			// The tallies hold only the prefix's ops here; count them at
+			// every timestep, as the T-step network performs them.
+			sc.synOps *= int64(e.T)
+			if tracked {
+				e.creditPrefixStages(sc)
+			}
+		}
+		cur := e.stepStages(sc, pre, e.prefix, len(e.stages))
 		if len(sc.avg) == 0 {
 			sc.avg = growFloat32(sc.avg, len(cur.data))
 		}
@@ -603,9 +660,10 @@ func (e *Engine) inferScratch(sc *Scratch, sample *tensor.Tensor, pt *PassTrace)
 // the pipeline advances, so a stage's compiled weight tables are traversed
 // while cache-hot for the whole batch (the serving layer's coalescing win —
 // the FuseTimesteps argument applied across requests instead of across
-// timesteps). Every sample's arithmetic and operation order are exactly
-// Infer's, so outputs are bit-identical to serial single-sample calls. Safe
-// for concurrent use.
+// timesteps). As in Infer, the time-invariant prefix runs once, at t=0, and
+// each sample's prefix output feeds its timesteps 1..T−1. Every sample's
+// arithmetic and operation order are exactly Infer's, so outputs are
+// bit-identical to serial single-sample calls. Safe for concurrent use.
 func (e *Engine) InferBatch(samples []*tensor.Tensor) [][]float32 {
 	return e.inferBatch(samples, nil)
 }
@@ -637,12 +695,15 @@ func (e *Engine) inferBatch(samples []*tensor.Tensor, pt *PassTrace) [][]float32
 	}
 	scs := make([]*Scratch, n)
 	cur := make([]*act, n)
+	pre := make([]*act, n)
 	for i, s := range samples {
 		sc := e.acquire()
 		sc.begin()
 		sc.input.shape = appendShape(sc.input.shape[:0], s)
 		sc.input.data = s.Data
+		sc.input.refreshEvents()
 		scs[i] = sc
+		pre[i] = &sc.input
 	}
 	// Telemetry for the whole coalesced pass accumulates on the first arena:
 	// per-stage SynOps sum over samples, per-stage wall-clock measured around
@@ -661,19 +722,17 @@ func (e *Engine) inferBatch(samples []*tensor.Tensor, pt *PassTrace) [][]float32
 	}
 	for t := 0; t < e.T; t++ {
 		faultPass.Fire()
-		for i := range scs {
-			scs[i].input.refreshEvents()
-			cur[i] = &scs[i].input
-		}
-		if tracked {
-			e.stepStagesBatch(scs, cur, sc0)
-		} else {
-			for _, st := range e.stages {
-				for i := range scs {
-					cur[i] = st.step(scs[i], cur[i])
-				}
+		if t == 0 {
+			e.stepStagesBatch(scs, pre, sc0, 0, e.prefix)
+			for _, sc := range scs {
+				sc.synOps *= int64(e.T) // as in inferScratch
+			}
+			if tracked {
+				e.creditPrefixStages(sc0)
 			}
 		}
+		copy(cur, pre)
+		e.stepStagesBatch(scs, cur, sc0, e.prefix, len(e.stages))
 		for i, sc := range scs {
 			if len(sc.avg) == 0 {
 				sc.avg = growFloat32(sc.avg, len(cur[i].data))

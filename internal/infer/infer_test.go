@@ -2,6 +2,7 @@ package infer_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ndsnn/internal/baselines"
@@ -222,5 +223,20 @@ func TestEngineDeterministicAcrossResets(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("repeated inference differs (state leak between samples)")
 		}
+	}
+}
+
+// TestCompileRejectsInputEncoder: the engine presents the analog sample
+// itself at every timestep, so a network with a rate or latency encoder
+// would be served as a different model. Both compile entry points must
+// refuse it, naming the encoder type.
+func TestCompileRejectsInputEncoder(t *testing.T) {
+	net := testutil.TinyNet(4, 3, 13)
+	net.Encoder = &snn.PoissonEncoder{Rng: rng.New(13)}
+	if _, err := infer.Compile(net); err == nil || !strings.Contains(err.Error(), "PoissonEncoder") {
+		t.Fatalf("Compile with a Poisson encoder: err = %v, want an error naming the encoder", err)
+	}
+	if _, err := infer.CompileQuantizedConfig(net, infer.QuantConfig{WeightBits: 8}); err == nil || !strings.Contains(err.Error(), "PoissonEncoder") {
+		t.Fatalf("CompileQuantizedConfig with a Poisson encoder: err = %v, want an error naming the encoder", err)
 	}
 }

@@ -200,44 +200,53 @@ func (e *Engine) endPass(sc *Scratch, t0 time.Time, kind string, batch int, pt *
 	}
 }
 
-// stepStages advances every stage one timestep for a single-sample pass.
-// The telemetry-off path is the exact pre-telemetry loop.
-func (e *Engine) stepStages(sc *Scratch, cur *act) *act {
+// stepStages advances stages [lo, hi) one timestep for a single-sample
+// pass. The telemetry-off path is the exact pre-telemetry loop.
+func (e *Engine) stepStages(sc *Scratch, cur *act, lo, hi int) *act {
 	t := e.tel
 	if t == nil {
-		for _, s := range e.stages {
+		for _, s := range e.stages[lo:hi] {
 			cur = s.step(sc, cur)
 		}
 		return cur
 	}
 	if sc.timed {
-		for i, s := range e.stages {
+		for i := lo; i < hi; i++ {
 			prevOps := sc.synOps
 			pprof.SetGoroutineLabels(t.labels[i])
 			start := time.Now()
-			cur = s.step(sc, cur)
+			cur = e.stages[i].step(sc, cur)
 			sc.stageNS[i] += time.Since(start).Nanoseconds()
 			sc.stageOps[i] += sc.synOps - prevOps
 		}
 		pprof.SetGoroutineLabels(t.base)
 		return cur
 	}
-	for i, s := range e.stages {
+	for i := lo; i < hi; i++ {
 		prevOps := sc.synOps
-		cur = s.step(sc, cur)
+		cur = e.stages[i].step(sc, cur)
 		sc.stageOps[i] += sc.synOps - prevOps
 	}
 	return cur
 }
 
-// stepStagesBatch advances every stage one timestep for a coalesced pass,
-// accumulating the batch's telemetry on sc0: per-stage SynOps summed over
-// samples always, per-stage wall-clock around the stage-major inner loop
-// when the pass is traced. Only called when telemetry is active; the
-// telemetry-off batch loop stays inline in inferBatch.
-func (e *Engine) stepStagesBatch(scs []*Scratch, cur []*act, sc0 *Scratch) {
+// stepStagesBatch advances stages [lo, hi) one timestep for a coalesced
+// pass, stage-major, replacing each cur[i] with sample i's output. With
+// telemetry on, the batch's telemetry accumulates on sc0: per-stage SynOps
+// summed over samples always, per-stage wall-clock around the stage-major
+// inner loop when the pass is traced.
+func (e *Engine) stepStagesBatch(scs []*Scratch, cur []*act, sc0 *Scratch, lo, hi int) {
 	t := e.tel
-	for si, st := range e.stages {
+	if t == nil {
+		for _, st := range e.stages[lo:hi] {
+			for i := range scs {
+				cur[i] = st.step(scs[i], cur[i])
+			}
+		}
+		return
+	}
+	for si := lo; si < hi; si++ {
+		st := e.stages[si]
 		var start time.Time
 		if sc0.timed {
 			pprof.SetGoroutineLabels(t.labels[si])
@@ -254,6 +263,16 @@ func (e *Engine) stepStagesBatch(scs []*Scratch, cur []*act, sc0 *Scratch) {
 	}
 	if sc0.timed {
 		pprof.SetGoroutineLabels(t.base)
+	}
+}
+
+// creditPrefixStages scales the prefix stages' per-stage SynOps, tallied
+// over their one evaluation at t=0, to all T timesteps, so that
+// infer_stage_synops_total keeps counting the T-step network. Only call
+// when beginPass reported telemetry active.
+func (e *Engine) creditPrefixStages(sc *Scratch) {
+	for i := range sc.stageOps[:e.prefix] {
+		sc.stageOps[i] *= int64(e.T)
 	}
 }
 

@@ -1,54 +1,15 @@
 package tensor
 
-// Event-aware im2col variants for the dual-sparse forward path.
+// Event-aware im2col for the dual-sparse forward path.
 //
 // SNN activations are binary spike tensors that are mostly zero, so the
-// column matrix im2col produces is mostly zero too. The variants here expand
-// the input exactly like Im2Col while additionally recording where the
-// non-zeros are, at two granularities:
-//
-//   - Im2ColOccupancy marks which output columns (receptive-field patches)
-//     are entirely zero, so column-masked GEMMs can skip them wholesale.
-//   - Im2ColEvents records every non-zero entry as a CSR-style
-//     (row → column list) pattern over the column matrix and verifies that
-//     the input is binary, which is what the fully event-driven kernels in
-//     internal/sparse consume.
-//
-// Both are single-pass: the bookkeeping is fused into the same loop that
-// fills dst, so the extra cost is O(nnz) on top of the unavoidable
-// O(C·KH·KW·OH·OW) fill.
-
-// Im2ColOccupancy is Im2Col plus column-occupancy tracking: colActive[j] is
-// set to true iff output column j (output position j = oy·OW+ox) receives at
-// least one non-zero input value. colActive must have length OH·OW; it is
-// fully overwritten. Returns the number of active columns.
-//
-// An inactive column means the entire receptive field of that output
-// position is zero, so every GEMM output for it is exactly zero — the
-// whole-column skip exploited by the column-masked kernels in
-// internal/sparse.
-func Im2ColOccupancy(dst, src []float32, c, h, w, kh, kw, stride, pad, oh, ow int, colActive []bool) int {
-	p := oh * ow
-	if len(colActive) != p {
-		panic("tensor: Im2ColOccupancy colActive length mismatch")
-	}
-	Im2Col(dst, src, c, h, w, kh, kw, stride, pad, oh, ow)
-	for j := range colActive {
-		colActive[j] = false
-	}
-	rows := c * kh * kw
-	active := 0
-	for r := 0; r < rows; r++ {
-		row := dst[r*p : (r+1)*p]
-		for j, v := range row {
-			if v != 0 && !colActive[j] {
-				colActive[j] = true
-				active++
-			}
-		}
-	}
-	return active
-}
+// column matrix im2col produces is mostly zero too. Im2ColEvents expands the
+// input exactly like Im2Col while recording every non-zero entry as a
+// CSR-style (row → column list) pattern over the column matrix and
+// verifying that the input is binary, which is what the fully event-driven
+// kernels in internal/sparse consume. The bookkeeping is fused into the
+// same loop that fills dst, so the extra cost is O(nnz) on top of the
+// unavoidable O(C·KH·KW·OH·OW) fill.
 
 // Im2ColPatternFromEvents computes the same CSR-style event pattern
 // Im2ColEvents extracts — row r's active output columns, ascending — directly

@@ -17,46 +17,6 @@ func spikeInput(c, h, w int, rate float64, r *rng.RNG) []float32 {
 	return src
 }
 
-func TestIm2ColOccupancyMatchesIm2Col(t *testing.T) {
-	const c, h, w, k, stride, pad = 3, 7, 7, 3, 1, 1
-	oh := ConvOutSize(h, k, stride, pad)
-	ow := ConvOutSize(w, k, stride, pad)
-	p := oh * ow
-	for _, rate := range []float64{0, 0.01, 0.1, 0.5, 1} {
-		r := rng.New(11 + uint64(rate*100))
-		src := spikeInput(c, h, w, rate, r)
-		want := make([]float32, c*k*k*p)
-		Im2Col(want, src, c, h, w, k, k, stride, pad, oh, ow)
-		got := make([]float32, len(want))
-		colActive := make([]bool, p)
-		active := Im2ColOccupancy(got, src, c, h, w, k, k, stride, pad, oh, ow, colActive)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("rate %v: dst[%d] = %v, want %v", rate, i, got[i], want[i])
-			}
-		}
-		count := 0
-		for j := 0; j < p; j++ {
-			any := false
-			for q := 0; q < c*k*k; q++ {
-				if want[q*p+j] != 0 {
-					any = true
-					break
-				}
-			}
-			if any != colActive[j] {
-				t.Fatalf("rate %v: colActive[%d] = %v, want %v", rate, j, colActive[j], any)
-			}
-			if any {
-				count++
-			}
-		}
-		if count != active {
-			t.Fatalf("rate %v: active count %d, want %d", rate, active, count)
-		}
-	}
-}
-
 func TestIm2ColEventsMatchesIm2Col(t *testing.T) {
 	const c, h, w, k, stride, pad = 4, 6, 6, 3, 2, 1
 	oh := ConvOutSize(h, k, stride, pad)
