@@ -13,8 +13,7 @@ import (
 var ExperimentIDs = []string{
 	"fig1", "table1", "table2", "table3", "fig4", "fig5", "memory", "synops",
 	"sparse-gemm", "event-driven", "sparse-tape", "quant-infer",
-	"parallel-kernels", "serving", "observability",
-	"resilience",
+	"serving", "observability", "resilience",
 	"ablation-grow", "ablation-shape", "ablation-allocation",
 	"ablation-surrogate", "ablation-deltat",
 }
@@ -33,7 +32,6 @@ var ExperimentDescription = map[string]string{
 	"event-driven":        "dual-sparse forward: dense vs CSR vs event-driven vs batched-timestep across spike rates (JSON, BENCH_event_driven.json)",
 	"sparse-tape":         "sparse temporal tape: backward speedup + peak BPTT cache memory vs the dense-cache baseline (JSON, BENCH_sparse_tape.json)",
 	"quant-infer":         "integer event-driven inference: float32 engine vs int8/int4/int16 QCSR per Sec. III-D platform (JSON, BENCH_quant_infer.json)",
-	"parallel-kernels":    "thread-scalable event kernels: serial vs banded/blocked parallel + scalar vs unrolled integer accumulates (JSON, BENCH_parallel_kernels.json)",
 	"serving":             "multi-tenant serving: coalesced-batch throughput + p50/p99 latency across concurrency levels, bit-identical to serial (JSON, BENCH_serving.json)",
 	"observability":       "telemetry cost: serving p99/throughput with metrics off vs on (overhead gated ≤1%) + per-stage latency/SynOps breakdown (JSON, BENCH_observability.json)",
 	"resilience":          "serving failure model: availability + p99 under injected panic/delay faults vs no-fault baseline, shed-rate vs offered load, survivors gated bit-identical (JSON, BENCH_resilience.json)",
@@ -187,18 +185,6 @@ func RunExperiment(id string, w io.Writer, opts ExperimentOptions) error {
 			return err
 		}
 		return bench.PrintSparseTape(w, rep)
-	case "parallel-kernels":
-		iters := 20
-		workerCounts := []int{1, 2, 4, 8}
-		if opts.Scale == "unit" {
-			iters = 5
-			workerCounts = []int{1, 4}
-		}
-		rep, err := bench.RunParallelKernels(workerCounts, iters, opts.Seed, progress)
-		if err != nil {
-			return err
-		}
-		return bench.PrintParallelKernels(w, rep)
 	case "quant-infer":
 		// ResNet-19 at 80% sparsity: the bench-scale model that trains far
 		// enough from chance for the per-platform accuracy deltas to be

@@ -103,8 +103,8 @@ type Engine struct {
 	inputGrid quant.ActGrid
 
 	// Scratch-arena slot layout, fixed at compile time.
-	nAct, nLIF, nInt, nOps int
-	pool                   sync.Pool
+	nAct, nLIF, nInt int
+	pool             sync.Pool
 
 	// tel is the optional telemetry state (see telemetry.go). Nil — the
 	// default — keeps every hot-path hook a single branch.
@@ -330,7 +330,7 @@ func (e *Engine) analogStageNames() []string {
 func (e *Engine) finish(stages []stage, c *compiler) {
 	e.stages = stages
 	e.prefix = prefixLen(stages)
-	e.nAct, e.nLIF, e.nInt, e.nOps = c.nAct, c.nLIF, c.nInt, c.nOps
+	e.nAct, e.nLIF, e.nInt = c.nAct, c.nLIF, c.nInt
 	if e.quant != nil {
 		e.quant.Stages = e.stageDT
 	}
@@ -391,7 +391,7 @@ type compiler struct {
 	seq    int
 
 	// Arena slot counters — the layout under assignment.
-	nAct, nLIF, nInt, nOps int
+	nAct, nLIF, nInt int
 }
 
 // record appends stage s's row to the engine's dtype table.
@@ -412,7 +412,6 @@ func (c *compiler) recordKind(kind string, in, out DType, integer bool, slot int
 func (c *compiler) actSlot() int { s := c.nAct; c.nAct++; return s }
 func (c *compiler) lifSlot() int { s := c.nLIF; c.nLIF++; return s }
 func (c *compiler) intSlot() int { s := c.nInt; c.nInt++; return s }
-func (c *compiler) opsSlot() int { s := c.nOps; c.nOps++; return s }
 
 // newLIFStage builds a LIF stage with its activation and membrane slots.
 func (c *compiler) newLIFStage(cfg snn.NeuronConfig) *lifStage {

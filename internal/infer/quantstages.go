@@ -68,11 +68,7 @@ type qconvEntry struct {
 }
 
 // qconvStage is the integer event-driven convolution with optional folded
-// BN. Geometry and post-accumulation op order mirror convStage exactly,
-// including the sparse.Workers output-channel banding
-// (bandEntriesByChannel): integer accumulation is exact at any order, but
-// the banded walk nevertheless preserves the serial per-element event
-// order, matching the float stage's determinism argument.
+// BN. Geometry and post-accumulation op order mirror convStage exactly.
 //
 // The stage accepts either grid dtype (dtype.go). Fed binary spikes
 // (invIn == 0) the accumulate is pure adds; fed a QuantInt edge the stage
@@ -85,12 +81,11 @@ type qconvEntry struct {
 type qconvStage struct {
 	inC, outC, k, stride, pad int
 	perChannel                [][]qconvEntry
-	bands                     [][][]qconvEntry // [band][channel]entries; nil when serial
-	deq                       []float32        // per-output-channel dequantization scale (× input grid scale)
-	invIn                     float32          // 1/input grid scale; 0 on binary-spike inputs
-	bias                      []float32        // conv bias (may be nil)
-	scale, shift              []float32        // folded BN (may be nil)
-	slot, accSlot, opsSlot    int
+	deq                       []float32 // per-output-channel dequantization scale (× input grid scale)
+	invIn                     float32   // 1/input grid scale; 0 on binary-spike inputs
+	bias                      []float32 // conv bias (may be nil)
+	scale, shift              []float32 // folded BN (may be nil)
+	slot, accSlot             int
 	inHW                      atomic.Int64
 }
 
@@ -103,7 +98,7 @@ func newQConvStage(l *layers.Conv2d, bn *layers.BatchNorm, c *compiler) (*qconvS
 		inC: l.InC, outC: l.OutC, k: l.K, stride: l.Stride, pad: l.Pad,
 		perChannel: make([][]qconvEntry, l.InC),
 		deq:        make([]float32, l.OutC),
-		slot:       c.actSlot(), accSlot: c.intSlot(), opsSlot: c.opsSlot(),
+		slot:       c.actSlot(), accSlot: c.intSlot(),
 	}
 	inScale := float32(1)
 	if c.dt.Kind == QuantInt {
@@ -125,8 +120,6 @@ func newQConvStage(l *layers.Conv2d, bn *layers.BatchNorm, c *compiler) (*qconvS
 			s.perChannel[ci] = append(s.perChannel[ci], qconvEntry{int32(f), int32(ki), int32(kj), lv})
 		}
 	}
-	s.bands = bandEntriesByChannel(s.perChannel, l.OutC, sparse.EffectiveWorkers(l.OutC),
-		func(en qconvEntry) int32 { return en.f })
 	if l.Bias != nil {
 		s.bias = append([]float32(nil), l.Bias.W.Data...)
 	}
@@ -149,8 +142,8 @@ func (s *qconvStage) step(sc *Scratch, in *act) *act {
 	p := oh * ow
 	acc := sc.int32Buf(s.accSlot, s.outC*p)
 	if s.invIn != 0 {
-		// Validate the whole event list once, before any banded goroutine
-		// touches it: every event must sit exactly on the input grid.
+		// Validate the whole event list once, before the scatter touches
+		// it: every event must sit exactly on the input grid.
 		for _, ev := range in.events {
 			if lv := ev.Val * s.invIn; float32(int32(lv)) != lv {
 				panic(fmt.Sprintf("infer: quantized conv stage received off-grid event %v (compile-time dtype propagation violated)", ev.Val))
@@ -163,27 +156,11 @@ func (s *qconvStage) step(sc *Scratch, in *act) *act {
 			}
 		}
 	}
-	var ops int64
-	if s.bands != nil {
-		bandOps := sc.opsBuf(s.opsSlot, len(s.bands))
-		tensor.ParallelStrips(len(s.bands), func(b int) {
-			if s.invIn != 0 {
-				bandOps[b] = qconvScatterEventsGraded(acc, in.events, s.bands[b],
-					h, w, oh, ow, p, s.stride, s.pad, s.invIn)
-			} else {
-				bandOps[b] = qconvScatterEvents(acc, in.events, s.bands[b],
-					h, w, oh, ow, p, s.stride, s.pad)
-			}
-		})
-		for _, n := range bandOps {
-			ops += n
-		}
-	} else if s.invIn != 0 {
-		ops = qconvScatterEventsGraded(acc, in.events, s.perChannel, h, w, oh, ow, p, s.stride, s.pad, s.invIn)
+	if s.invIn != 0 {
+		sc.synOps += qconvScatterEventsGraded(acc, in.events, s.perChannel, h, w, oh, ow, p, s.stride, s.pad, s.invIn)
 	} else {
-		ops = qconvScatterEvents(acc, in.events, s.perChannel, h, w, oh, ow, p, s.stride, s.pad)
+		sc.synOps += qconvScatterEvents(acc, in.events, s.perChannel, h, w, oh, ow, p, s.stride, s.pad)
 	}
-	sc.synOps += ops
 	var rqStart time.Time
 	if sc.timeRequant {
 		rqStart = time.Now()

@@ -3,13 +3,13 @@ package infer
 import "ndsnn/internal/obs"
 
 // The engine's re-entrancy split: a compiled Engine is an immutable plan
-// (weight tables, folded affines, band layouts) shared by any number of
-// concurrent callers, while every piece of mutable per-request state lives
-// in a Scratch arena. The compiler assigns each stage fixed slot indices
-// into the arena at compile time, so a request's entire working set — the
+// (weight tables, folded affines) shared by any number of concurrent
+// callers, while every piece of mutable per-request state lives in a
+// Scratch arena. The compiler assigns each stage fixed slot indices into
+// the arena at compile time, so a request's entire working set — the
 // activation buffers flowing between stages, their event lists, LIF
-// membrane state, integer accumulators, per-band SynOps tallies — is
-// carried by one heap object that a sync.Pool recycles across requests.
+// membrane state, integer accumulators — is carried by one heap object
+// that a sync.Pool recycles across requests.
 // Steady-state inference therefore allocates (almost) nothing: event-list
 // and buffer capacity established by the first few requests is reused by
 // every later one (pinned by TestInferAllocsSteadyState).
@@ -23,7 +23,6 @@ type Scratch struct {
 	acts   []act      // activation slots, one per producing stage
 	lif    []lifState // membrane-state slots, one per LIF stage
 	ints   [][]int32  // int32 slots: integer accumulators, event-index lists
-	ops    [][]int64  // per-band SynOps tally slots of banded stages
 	input  act        // the network input (aliases the sample, owns its event list)
 	avg    []float32  // time-averaged output accumulator
 	synOps int64      // request-local SynOps, rolled into the engine atomically
@@ -54,7 +53,6 @@ func (e *Engine) NewScratch() *Scratch {
 		acts:  make([]act, e.nAct),
 		lif:   make([]lifState, e.nLIF),
 		ints:  make([][]int32, e.nInt),
-		ops:   make([][]int64, e.nOps),
 		fresh: true,
 	}
 }
@@ -123,22 +121,6 @@ func (sc *Scratch) int32Buf(slot, n int) []int32 {
 		}
 	}
 	sc.ints[slot] = buf
-	return buf
-}
-
-// opsBuf returns slot's int64 buffer resized to n and zeroed — the per-band
-// SynOps tallies of a banded parallel scatter.
-func (sc *Scratch) opsBuf(slot, n int) []int64 {
-	buf := sc.ops[slot]
-	if cap(buf) < n {
-		buf = make([]int64, n)
-	} else {
-		buf = buf[:n]
-		for i := range buf {
-			buf[i] = 0
-		}
-	}
-	sc.ops[slot] = buf
 	return buf
 }
 

@@ -6,12 +6,11 @@ import (
 
 	"ndsnn/internal/layers"
 	"ndsnn/internal/snn"
-	"ndsnn/internal/sparse"
 	"ndsnn/internal/tensor"
 )
 
 // Stages are immutable compiled plans: constructors freeze the weight
-// tables, folded affines and band layouts, and step routes every mutable
+// tables and folded affines, and step routes every mutable
 // buffer through the request's Scratch arena (each stage owns fixed slot
 // indices assigned at compile time). The only post-compile writes a stage
 // performs on itself are atomics (the conv stages' last-seen spatial size,
@@ -39,19 +38,14 @@ type convEntry struct {
 	w      float32
 }
 
-// convStage is an event-driven convolution with optional folded BN. When
-// compiled with sparse.Workers > 1 the synapse table is pre-bucketed into
-// that many output-channel bands (balanced by synapse count; see
-// bandEntriesByChannel) and step scatters every band concurrently on the
-// shared worker pool.
+// convStage is an event-driven convolution with optional folded BN.
 type convStage struct {
 	inC, outC, k, stride, pad int
 	perChannel                [][]convEntry
-	bands                     [][][]convEntry // [band][channel]entries; nil when serial
-	bias                      []float32       // conv bias (may be nil)
-	scale, shift              []float32       // folded BN (may be nil)
+	bias                      []float32 // conv bias (may be nil)
+	scale, shift              []float32 // folded BN (may be nil)
 	activeSynapses            int64
-	slot, opsSlot             int
+	slot                      int
 	inHW                      atomic.Int64 // last seen spatial size (for dense MACs)
 }
 
@@ -59,7 +53,7 @@ func newConvStage(l *layers.Conv2d, bn *layers.BatchNorm, c *compiler) *convStag
 	s := &convStage{
 		inC: l.InC, outC: l.OutC, k: l.K, stride: l.Stride, pad: l.Pad,
 		perChannel: make([][]convEntry, l.InC),
-		slot:       c.actSlot(), opsSlot: c.opsSlot(),
+		slot:       c.actSlot(),
 	}
 	w := l.Weight.W
 	for f := 0; f < l.OutC; f++ {
@@ -75,8 +69,6 @@ func newConvStage(l *layers.Conv2d, bn *layers.BatchNorm, c *compiler) *convStag
 			}
 		}
 	}
-	s.bands = bandEntriesByChannel(s.perChannel, l.OutC, sparse.EffectiveWorkers(l.OutC),
-		func(en convEntry) int32 { return en.f })
 	if l.Bias != nil {
 		s.bias = append([]float32(nil), l.Bias.W.Data...)
 	}
@@ -84,63 +76,6 @@ func newConvStage(l *layers.Conv2d, bn *layers.BatchNorm, c *compiler) *convStag
 		s.scale, s.shift = bnFold(bn)
 	}
 	return s
-}
-
-// bandEntriesByChannel splits a per-channel synapse table (entries ascending
-// in output unit fOf(entry) within each channel, as the compile loops
-// produce them) into `workers` output-unit bands balanced by synapse count —
-// the shared banding of the float and quantized conv stages. Bands write
-// disjoint output rows, so they scatter concurrently without
-// synchronization, and each output element still receives its contributions
-// in the serial event order: banded stepping is bit-identical to serial
-// stepping. It returns nil for workers <= 1 — the serial layout. Each
-// band's per-channel slices alias the original table (contiguous f-runs),
-// so banding costs no synapse copies.
-func bandEntriesByChannel[E any](perChannel [][]E, outC, workers int, fOf func(E) int32) [][][]E {
-	if workers <= 1 {
-		return nil
-	}
-	perF := make([]int64, outC+1)
-	var total int64
-	for _, entries := range perChannel {
-		total += int64(len(entries))
-		for _, en := range entries {
-			perF[fOf(en)+1]++
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	for f := 0; f < outC; f++ {
-		perF[f+1] += perF[f]
-	}
-	bands := make([][][]E, 0, workers)
-	f := 0
-	for b := 0; b < workers; b++ {
-		target := total * int64(b+1) / int64(workers)
-		fHi := f
-		for fHi < outC && (b == workers-1 || perF[fHi] < target) {
-			fHi++
-		}
-		if b == workers-1 {
-			fHi = outC
-		}
-		band := make([][]E, len(perChannel))
-		for c, entries := range perChannel {
-			lo := 0
-			for lo < len(entries) && int(fOf(entries[lo])) < f {
-				lo++
-			}
-			hi := lo
-			for hi < len(entries) && int(fOf(entries[hi])) < fHi {
-				hi++
-			}
-			band[c] = entries[lo:hi]
-		}
-		bands = append(bands, band)
-		f = fHi
-	}
-	return bands
 }
 
 func (s *convStage) denseMACs() int64 {
@@ -166,23 +101,7 @@ func (s *convStage) step(sc *Scratch, in *act) *act {
 	ow := tensor.ConvOutSize(w, s.k, s.stride, s.pad)
 	out := sc.actBuf3(s.slot, s.outC, oh, ow)
 	p := oh * ow
-	var ops int64
-	if s.bands != nil {
-		// Parallel scatter: every band streams the same events in the same
-		// order into its private output-channel rows — bit-identical to the
-		// serial walk below, at any GOMAXPROCS.
-		bandOps := sc.opsBuf(s.opsSlot, len(s.bands))
-		tensor.ParallelStrips(len(s.bands), func(b int) {
-			bandOps[b] = convScatterEvents(out.data, in.events, s.bands[b],
-				h, w, oh, ow, p, s.stride, s.pad)
-		})
-		for _, n := range bandOps {
-			ops += n
-		}
-	} else {
-		ops = convScatterEvents(out.data, in.events, s.perChannel, h, w, oh, ow, p, s.stride, s.pad)
-	}
-	sc.synOps += ops
+	sc.synOps += convScatterEvents(out.data, in.events, s.perChannel, h, w, oh, ow, p, s.stride, s.pad)
 	for f := 0; f < s.outC; f++ {
 		var b float32
 		if s.bias != nil {
@@ -205,8 +124,8 @@ func (s *convStage) step(sc *Scratch, in *act) *act {
 }
 
 // convScatterEvents accumulates every (event × synapse) contribution of one
-// timestep into the output buffer — the shared inner walk of the serial and
-// banded float conv stage. Returns the accumulate count (SynOps).
+// timestep into the output buffer — the inner walk of the float conv stage.
+// Returns the accumulate count (SynOps).
 func convScatterEvents(out []float32, events []Event, perChannel [][]convEntry,
 	h, w, oh, ow, p, stride, pad int) int64 {
 	var ops int64

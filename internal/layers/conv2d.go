@@ -79,11 +79,9 @@ func (l *Conv2d) geometry(x *tensor.Tensor) (b, c, h, w, oh, ow, p, ckk int) {
 
 // forwardSample runs one sample-timestep's GEMM into yb (shape [OutC, p]),
 // choosing between the event-driven, weight-only CSR and dense paths exactly
-// as documented on Forward, and adds the bias. A non-nil wbands routes the
-// event path through the banded parallel kernel (sparse.Workers > 1);
-// outputs are bit-identical either way.
+// as documented on Forward, and adds the bias.
 func (l *Conv2d) forwardSample(yb *tensor.Tensor, src []float32, c, h, w, oh, ow int,
-	wmat *tensor.Tensor, wcsr *sparse.CSR, wcsc *sparse.CSC, wbands *sparse.CSCBands, s *convScratch,
+	wmat *tensor.Tensor, wcsr *sparse.CSR, wcsc *sparse.CSC, s *convScratch,
 	tally *metrics.EventStats, maxRate float64) {
 	p := oh * ow
 	ckk := c * l.K * l.K
@@ -101,11 +99,7 @@ func (l *Conv2d) forwardSample(yb *tensor.Tensor, src []float32, c, h, w, oh, ow
 			// maxRate > 0 keeps the documented kill switch honest: at 0, even
 			// all-zero (occupancy 0) inputs stay on the weight-only path.
 			if maxRate > 0 && ev.Occupancy() <= maxRate {
-				if wbands != nil {
-					sparse.CSCMatMulEventsInto(yb, wbands, &ev, false)
-				} else {
-					sparse.CSCMatMulEventsSerialInto(yb, wcsc, &ev, false)
-				}
+				sparse.CSCMatMulEventsSerialInto(yb, wcsc, &ev, false)
 				tally.EventForwards++
 				eventDone = true
 			}
@@ -155,20 +149,10 @@ func (l *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	wmat := l.Weight.W.Reshape(l.OutC, ckk)
 	wcsr := l.Weight.SparseW()
 	var wcsc *sparse.CSC
-	var wbands *sparse.CSCBands
 	if wcsr != nil {
 		// The event kernel wants column-compressed weights (spikes select
 		// weight columns); gathered once here, shared read-only by workers.
-		// Batches too narrow to fill sparse.Workers batch-parallel lanes
-		// take the row-banded bucketing instead: the per-sample event GEMM
-		// itself fans out (bit-identical results). Wide batches already
-		// saturate the host, so they skip the banded gather entirely.
-		if b < sparse.EffectiveWorkers(l.OutC) {
-			wbands = l.Weight.SparseWCSCBands()
-		}
-		if wbands == nil {
-			wcsc = l.Weight.SparseWCSC()
-		}
+		wcsc = l.Weight.SparseWCSC()
 	}
 	maxRate := EventMaxRate
 	tensor.ParallelFor(b, l.OutC*ckk*p, func(lo, hi int) {
@@ -177,7 +161,7 @@ func (l *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for bi := lo; bi < hi; bi++ {
 			src := x.Data[bi*c*h*w : (bi+1)*c*h*w]
 			yb := tensor.FromSlice(out.Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
-			l.forwardSample(yb, src, c, h, w, oh, ow, wmat, wcsr, wcsc, wbands, s, &tally, maxRate)
+			l.forwardSample(yb, src, c, h, w, oh, ow, wmat, wcsr, wcsc, s, &tally, maxRate)
 		}
 		l.events.add(tally)
 	})
@@ -217,16 +201,7 @@ func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 		}
 	}
 	wmat := l.Weight.W.Reshape(l.OutC, ckk)
-	// Same narrow-batch gate as Forward: kernel-level fan-out only when the
-	// batch dimension cannot fill the workers on its own.
-	var wbands *sparse.CSCBands
-	if b < sparse.EffectiveWorkers(l.OutC) {
-		wbands = l.Weight.SparseWCSCBands()
-	}
-	var wcsc *sparse.CSC
-	if wbands == nil {
-		wcsc = l.Weight.SparseWCSC()
-	}
+	wcsc := l.Weight.SparseWCSC()
 	outs := make([]*tensor.Tensor, T)
 	for t := range outs {
 		outs[t] = tensor.New(b, l.OutC, oh, ow)
@@ -283,12 +258,7 @@ func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 					tally.Cols += int64(p)
 					tally.ActiveCols += countActiveCols(evIdxs[t], s.colSeen)
 				}
-				fused := sparse.FuseTimesteps(evs)
-				if wbands != nil {
-					sparse.CSCMatMulEventsInto(ybuf, wbands, fused, false)
-				} else {
-					sparse.CSCMatMulEventsSerialInto(ybuf, wcsc, fused, false)
-				}
+				sparse.CSCMatMulEventsSerialInto(ybuf, wcsc, sparse.FuseTimesteps(evs), false)
 				// Timestep t's output is ybuf[:, t·p:(t+1)·p].
 				for t := 0; t < T; t++ {
 					yb := tensor.FromSlice(outs[t].Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
@@ -303,7 +273,7 @@ func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 				for t := 0; t < T; t++ {
 					src := xs[t].Data[bi*chw : (bi+1)*chw]
 					yb := tensor.FromSlice(outs[t].Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
-					l.forwardSample(yb, src, c, h, w, oh, ow, wmat, wcsr, wcsc, wbands, s, &tally, maxRate)
+					l.forwardSample(yb, src, c, h, w, oh, ow, wmat, wcsr, wcsc, s, &tally, maxRate)
 				}
 			}
 		}
@@ -454,12 +424,6 @@ func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// dX always rides the CSR path when available; dW does so only when the
 	// trainer has declared active-position-only gradients acceptable.
 	sparseGrad := wcsr != nil && l.Weight.SparseGradOK
-	// Kernel-level SDDMM fan-out pays off only when the batch partition
-	// leaves workers idle; wide batches keep the serial per-sample kernels.
-	kernelWorkers := 1
-	if wcsr != nil && b < sparse.EffectiveWorkers(wcsr.Rows) {
-		kernelWorkers = sparse.EffectiveWorkers(wcsr.Rows)
-	}
 
 	l.parallelGrad(b, ckk, wcsr, sparseGrad, func() sampleGrad {
 		col := make([]float32, ckk*p)
@@ -495,13 +459,10 @@ func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			}
 			dyb := tensor.FromSlice(dy.Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
 			if sparseGrad {
-				// kernelWorkers > 1 fans the SDDMM out over nnz-balanced row
-				// blocks of the weight pattern (bit-identical accumulation;
-				// each vals[p] is owned by one worker).
 				if ev != nil {
-					sparse.CSRGradABTEventsInto(valLocal, wcsr, dyb, ev, kernelWorkers)
+					sparse.CSRGradABTEventsSerial(valLocal, wcsr, dyb, ev)
 				} else {
-					sparse.CSRGradABTInto(valLocal, wcsr, dyb, colT, kernelWorkers)
+					sparse.CSRGradABTSerial(valLocal, wcsr, dyb, colT)
 				}
 			} else {
 				tensor.MatMulABTSerialInto(dwLocal, dyb, colT, true)
@@ -572,12 +533,6 @@ func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
 	for t := range dxs {
 		dxs[t] = tensor.New(b, c, h, w)
 	}
-	// Kernel-level SDDMM fan-out only when the batch partition leaves
-	// workers idle, as in Backward.
-	kernelWorkers := 1
-	if b < sparse.EffectiveWorkers(wcsr.Rows) {
-		kernelWorkers = sparse.EffectiveWorkers(wcsr.Rows)
-	}
 
 	l.parallelGrad(b, ckk, wcsr, true, func() sampleGrad {
 		rowPtrs := make([][]int32, T)
@@ -602,7 +557,7 @@ func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
 				}
 			}
 			evF := sparse.FuseTimesteps(evs)
-			sparse.CSRGradABTEventsInto(valLocal, wcsr, dyF, evF, kernelWorkers)
+			sparse.CSRGradABTEventsSerial(valLocal, wcsr, dyF, evF)
 			sparse.CSRMatMulATBSerialInto(dcolF, wcsr, dyF, false)
 			for t := 0; t < T; t++ {
 				for cc := 0; cc < ckk; cc++ {

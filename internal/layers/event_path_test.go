@@ -200,3 +200,108 @@ func TestCSRCrossoverDensity(t *testing.T) {
 		t.Fatalf("linear calibration not stored: got %v, param %v", got, lin.Weight.CSRMaxDensity)
 	}
 }
+
+// TestLinearBackwardSeqMatchesPerTimestep pins the fused time-major linear
+// replay (one stacked events SDDMM + one backward-data weight traversal)
+// against T per-timestep Backward calls: input gradients bit-identical,
+// weight/bias gradients within float reordering tolerance.
+func TestLinearBackwardSeqMatchesPerTimestep(t *testing.T) {
+	const T, b, in, out = 4, 3, 40, 12
+	for _, rate := range eventRates {
+		build := func() (*layers.Linear, []*tensor.Tensor, []*tensor.Tensor) {
+			r := rng.New(727 + uint64(rate*100))
+			l := layers.NewLinear("fc", in, out, true, r)
+			maskParam(l.Weight, 0.25, r)
+			l.Weight.SparseGradOK = true
+			xs := make([]*tensor.Tensor, T)
+			dys := make([]*tensor.Tensor, T)
+			for t2 := 0; t2 < T; t2++ {
+				xs[t2] = spikeTensor(r, rate, b, in)
+				dys[t2] = tensor.New(b, out)
+				for i := range dys[t2].Data {
+					dys[t2].Data[i] = r.NormFloat32()
+				}
+			}
+			return l, xs, dys
+		}
+
+		var gRef, bRef *tensor.Tensor
+		var dxRef []*tensor.Tensor
+		withCSRDensity(1, func() {
+			withEventRate(1, func() {
+				// Reference: per-timestep replay in reverse order.
+				l, xs, dys := build()
+				for _, x := range xs {
+					l.Forward(x, true)
+				}
+				dxRef = make([]*tensor.Tensor, T)
+				for t2 := T - 1; t2 >= 0; t2-- {
+					dxRef[t2] = l.Backward(dys[t2])
+				}
+				gRef, bRef = l.Weight.Grad.Clone(), l.Bias.Grad.Clone()
+
+				// Fused: BackwardSeq consumes the whole tape at once.
+				l2, xs2, dys2 := build()
+				for _, x := range xs2 {
+					l2.Forward(x, true)
+				}
+				dxs := l2.BackwardSeq(dys2)
+				if d := maxDiff(gRef, l2.Weight.Grad); d > 1e-5 {
+					t.Fatalf("rate %v: fused linear weight grad differs by %v", rate, d)
+				}
+				if d := maxDiff(bRef, l2.Bias.Grad); d > 1e-5 {
+					t.Fatalf("rate %v: fused linear bias grad differs by %v", rate, d)
+				}
+				for t2 := 0; t2 < T; t2++ {
+					for i := range dxRef[t2].Data {
+						if dxRef[t2].Data[i] != dxs[t2].Data[i] {
+							t.Fatalf("rate %v: fused dx[%d] not bit-identical at %d", rate, t2, i)
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestLinearBackwardSeqFallsBackOnDenseRecords pins the fused path's gate:
+// analog (dense-recorded) timesteps must take the per-timestep fallback and
+// still produce correct gradients.
+func TestLinearBackwardSeqFallsBackOnDenseRecords(t *testing.T) {
+	const T, b, in, out = 3, 2, 20, 8
+	build := func() *layers.Linear {
+		br := rng.New(733)
+		bl := layers.NewLinear("fc", in, out, false, br)
+		maskParam(bl.Weight, 0.3, br)
+		bl.Weight.SparseGradOK = true
+		return bl
+	}
+	l, ref := build(), build()
+	r := rng.New(739)
+
+	xs := make([]*tensor.Tensor, T)
+	dys := make([]*tensor.Tensor, T)
+	for t2 := 0; t2 < T; t2++ {
+		xs[t2] = tensor.New(b, in)
+		dys[t2] = tensor.New(b, out)
+		for i := range xs[t2].Data {
+			xs[t2].Data[i] = r.NormFloat32() // analog: dense records
+		}
+		for i := range dys[t2].Data {
+			dys[t2].Data[i] = r.NormFloat32()
+		}
+	}
+	withCSRDensity(1, func() {
+		for _, x := range xs {
+			l.Forward(x.Clone(), true)
+			ref.Forward(x.Clone(), true)
+		}
+		l.BackwardSeq(dys)
+		for t2 := T - 1; t2 >= 0; t2-- {
+			ref.Backward(dys[t2])
+		}
+	})
+	if d := maxDiff(ref.Weight.Grad, l.Weight.Grad); d != 0 {
+		t.Fatalf("dense-record fallback grads differ by %v", d)
+	}
+}

@@ -60,20 +60,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			// switch even for all-zero (occupancy 0) inputs.
 			if maxRate := EventMaxRate; maxRate > 0 && ev.Occupancy() <= maxRate {
 				out = tensor.New(x.Dim(0), l.Out)
-				// Batches too narrow to fill sparse.Workers sample-parallel
-				// lanes take the banded kernel: workers own output-feature
-				// bands instead of samples. Bit-identical either way. The
-				// width check comes first so wide batches never pay the
-				// banded encoding's O(nnz) value gather just to discard it.
-				var bands *sparse.CSCBands
-				if x.Dim(0) < sparse.EffectiveWorkers(l.Out) {
-					bands = l.Weight.SparseWCSCBands()
-				}
-				if bands != nil {
-					sparse.MatMulEventsCSCBandsInto(out, ev, bands, false)
-				} else {
-					sparse.MatMulEventsCSCInto(out, ev, l.Weight.SparseWCSC(), false)
-				}
+				sparse.MatMulEventsCSCInto(out, ev, l.Weight.SparseWCSC(), false)
 				tally.EventForwards = tally.Forwards
 			}
 		}
@@ -105,7 +92,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // path: an event-encoded record feeds CSRGradATBEventsInto directly (work
 // scales with the recorded spike count), and dense records choose between
 // the column-strided reference and the blocked/transposed SDDMM by layer
-// width (GradATBTransposeMinCols).
+// width (gradATBTransposeMinCols).
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	rec := l.xs.Pop()
 	wcsr := l.Weight.SparseW()
@@ -113,7 +100,7 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		vals := make([]float32, wcsr.NNZ())
 		if rec.IsEvents() {
 			sparse.CSRGradATBEventsInto(vals, wcsr, dy, rec.Events())
-		} else if wcsr.Cols >= GradATBTransposeMinCols {
+		} else if wcsr.Cols >= gradATBTransposeMinCols {
 			sparse.CSRGradATBTransposedInto(vals, wcsr, dy, rec.Dense())
 		} else {
 			sparse.CSRGradATBInto(vals, wcsr, dy, rec.Dense())

@@ -43,13 +43,12 @@ type Param struct {
 	// package default".
 	CSRMaxDensity float64
 
-	// csr/csc/cscBands cache the sparse encodings of W managed by
-	// SparseW/SparseWCSC/SparseWCSCBands/InvalidateCSR; csrDensity caches the
-	// mask's live-weight density for the threshold check (-1 = not measured
-	// since the last invalidation).
+	// csr/csc cache the sparse encodings of W managed by
+	// SparseW/SparseWCSC/InvalidateCSR; csrDensity caches the mask's
+	// live-weight density for the threshold check (-1 = not measured since
+	// the last invalidation).
 	csr        *sparse.CSR
 	csc        *sparse.CSC
-	cscBands   *sparse.CSCBands
 	csrDensity float64
 }
 

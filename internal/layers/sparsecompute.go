@@ -41,18 +41,16 @@ var CSRMaxDensity = 0.5
 // path (0 disables the event path, 1 takes it for any binary input).
 var EventMaxRate = 0.3
 
-// GradATBTransposeMinCols is the linear-layer width (input features) at and
+// gradATBTransposeMinCols is the linear-layer width (input features) at and
 // above which the sparse backward-weight SDDMM uses the blocked/transposed
 // kernel (sparse.CSRGradATBTransposedInto) instead of the column-strided
 // reference. The transposed variant pays an O(batch·(Out+In)) operand
 // transpose to make every per-position dot product stream two contiguous
 // rows; on wide layers the strided walk misses cache badly enough that the
 // transpose amortizes almost immediately, while on narrow layers it is pure
-// overhead. Like CSRMaxDensity and EventMaxRate it is a variable so tests
-// and benchmarks can force either kernel (0 always transposes, a huge value
-// never does). Event-encoded tape records bypass the choice entirely — they
+// overhead. Event-encoded tape records bypass the choice entirely — they
 // feed the event kernel.
-var GradATBTransposeMinCols = 128
+const gradATBTransposeMinCols = 128
 
 // SparseW returns the cached CSR encoding of the parameter's weight matrix
 // (reshaped to [Dim(0), Size/Dim(0)] — one row per output unit/filter), with
@@ -121,43 +119,17 @@ func (p *Param) SparseWCSC() *sparse.CSC {
 	return p.csc
 }
 
-// SparseWCSCBands returns the row-banded CSC view of the parameter's weight
-// matrix with freshly gathered values, pre-bucketed into sparse.Workers
-// destination bands — the operand of the parallel event kernels
-// (sparse.CSCMatMulEventsInto, sparse.MatMulEventsCSCBandsInto). It returns
-// nil when SparseW does, or when sparse.Workers <= 1 (callers then use the
-// flat CSC and the serial kernels). The banding shares the CSR pattern's
-// invalidation and is rebuilt when the Workers knob changes, so band
-// boundaries always reflect the current knob.
-//
-// Not safe for concurrent use, like SparseW.
-func (p *Param) SparseWCSCBands() *sparse.CSCBands {
-	workers := sparse.EffectiveWorkers(p.W.Dim(0))
-	if workers <= 1 || !p.csrEligible() {
-		return nil
-	}
-	if p.cscBands == nil || len(p.cscBands.Bands) != workers {
-		if p.csr == nil {
-			p.SparseW() // materialize the pattern once
-		}
-		p.cscBands = sparse.NewCSCBands(p.csr, workers)
-	}
-	p.cscBands.GatherValues(p.W)
-	return p.cscBands
-}
-
 // CSRCached reports whether a CSR encoding is currently cached — an
 // introspection hook for tests that pin the cache-discipline contract
 // (e.g. that weight-mutating operations like quantization invalidate).
 func (p *Param) CSRCached() bool { return p.csr != nil }
 
-// InvalidateCSR drops the cached CSR/CSC/banded encodings and density. Call
+// InvalidateCSR drops the cached CSR/CSC encodings and density. Call
 // after any change to the mask topology; value-only changes (optimizer
 // steps, weight rewinds) do not need it because SparseW re-gathers values on
 // every call.
 func (p *Param) InvalidateCSR() {
 	p.csr = nil
 	p.csc = nil
-	p.cscBands = nil
 	p.csrDensity = -1
 }

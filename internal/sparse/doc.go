@@ -45,17 +45,4 @@
 // applicable, so for finite inputs the sparse, event-driven and dense paths
 // produce bit-identical results; the property tests in this package and in
 // internal/layers pin that equivalence.
-//
-// # Thread scalability
-//
-// The Workers knob (parallel.go) gates kernel-level parallelism: banded
-// variants of the event forwards (CSCBands pre-buckets the weight matrix
-// into disjoint destination row bands) and nnz-row-blocked variants of the
-// SDDMM gradients fan one kernel call out across the persistent worker pool
-// in internal/tensor. Band and block boundaries derive from the pattern and
-// the knob alone — never from GOMAXPROCS — and every parallel kernel
-// preserves the serial per-element summation order, so results stay
-// bit-identical to the serial kernels at any thread budget. The integer and
-// float event accumulates are register-blocked (4×-unrolled) in their
-// primary forms, with *Scalar reference kernels kept for pinning.
 package sparse

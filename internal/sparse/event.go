@@ -102,11 +102,24 @@ func CSCMatMulEventsSerialInto(dst *tensor.Tensor, a *CSC, ev *Events, accumulat
 			od[i] = 0
 		}
 	}
-	cscMatMulEventsBand(od, a, ev, n)
+	for q := 0; q < ev.Rows; q++ {
+		evRow := ev.ColIdx[ev.RowPtr[q]:ev.RowPtr[q+1]]
+		if len(evRow) == 0 {
+			continue
+		}
+		for p := a.ColPtr[q]; p < a.ColPtr[q+1]; p++ {
+			v := a.Val[p]
+			if v == 0 {
+				continue
+			}
+			orow := od[int(a.RowIdx[p])*n:]
+			addEventsUnrolled(orow[:n], v, evRow)
+		}
+	}
 }
 
 // addEventsUnrolled accumulates orow[j] += v at every event column j — the
-// register-blocked inner loop shared by the float CSC event kernels. Four
+// register-blocked inner loop of CSCMatMulEventsSerialInto. Four
 // (index, add) pairs are kept in flight per iteration, which removes most of
 // the per-event loop and bounds-check overhead of the scalar form. Every
 // event column is a distinct element and each receives exactly one add, in
@@ -237,7 +250,22 @@ func CSRGradABTEventsSerial(vals []float32, pattern *CSR, a *tensor.Tensor, evB 
 	if len(vals) != pattern.NNZ() {
 		panic(fmt.Sprintf("sparse: CSRGradABTEvents vals length %d, want %d", len(vals), pattern.NNZ()))
 	}
-	csrGradABTEventsRows(vals, pattern, a.Data, q, evB, 0, pattern.Rows)
+	ad := a.Data
+	for r := 0; r < pattern.Rows; r++ {
+		arow := ad[r*q : (r+1)*q]
+		for p := pattern.RowPtr[r]; p < pattern.RowPtr[r+1]; p++ {
+			c := int(pattern.ColIdx[p])
+			lo, hi := evB.RowPtr[c], evB.RowPtr[c+1]
+			if lo == hi {
+				continue
+			}
+			var s float32
+			for _, j := range evB.ColIdx[lo:hi] {
+				s += arow[j]
+			}
+			vals[p] += s
+		}
+	}
 }
 
 // CSRGradATBEventsInto is CSRGradATBInto with the b operand given as the

@@ -178,3 +178,42 @@ func TestCSCGatherValues(t *testing.T) {
 		t.Fatalf("post-gather CSC kernel differs by %v", d)
 	}
 }
+
+func TestStackTimesteps(t *testing.T) {
+	r := rng.New(641)
+	const rows, cols, T = 5, 11, 3
+	evs := make([]*Events, T)
+	mats := make([]*tensor.Tensor, T)
+	for t2 := 0; t2 < T; t2++ {
+		mats[t2] = spikeMatrix(rows, cols, 0.3, r)
+		evs[t2], _ = EncodeEvents(mats[t2])
+	}
+	s := StackTimesteps(evs)
+	if s.Rows != T*rows || s.Cols != cols {
+		t.Fatalf("stacked shape [%d,%d], want [%d,%d]", s.Rows, s.Cols, T*rows, cols)
+	}
+	// Row t·rows+i of the stack must decode to timestep t's sample i.
+	buf := make([]float32, cols)
+	for t2 := 0; t2 < T; t2++ {
+		for i := 0; i < rows; i++ {
+			for j := range buf {
+				buf[j] = 0
+			}
+			s.ScatterRowInto(t2*rows+i, buf, 1)
+			for j := 0; j < cols; j++ {
+				if buf[j] != mats[t2].Data[i*cols+j] {
+					t.Fatalf("stacked row %d col %d = %v, want %v", t2*rows+i, j, buf[j], mats[t2].Data[i*cols+j])
+				}
+			}
+		}
+	}
+	// Edge cases: T=1 reproduces the input; empty input yields an empty pattern.
+	one := StackTimesteps(evs[:1])
+	if one.NNZ() != evs[0].NNZ() || one.Rows != rows {
+		t.Fatalf("T=1 stack changed the pattern")
+	}
+	empty := StackTimesteps(nil)
+	if empty.NNZ() != 0 {
+		t.Fatalf("empty stack has events")
+	}
+}

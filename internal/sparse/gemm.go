@@ -174,7 +174,19 @@ func MatMulDenseCSRInto(dst, x *tensor.Tensor, a *CSR, accumulate bool) {
 // conv layer already parallelizes across the batch.
 func CSRGradABTSerial(vals []float32, pattern *CSR, a, b *tensor.Tensor) {
 	q := checkCSRGrad(vals, pattern, a, b, pattern.Rows, pattern.Cols)
-	csrGradABTRows(vals, pattern, a.Data, b.Data, q, 0, pattern.Rows)
+	ad, bd := a.Data, b.Data
+	for r := 0; r < pattern.Rows; r++ {
+		arow := ad[r*q : (r+1)*q]
+		for p := pattern.RowPtr[r]; p < pattern.RowPtr[r+1]; p++ {
+			brow := bd[int(pattern.ColIdx[p])*q:]
+			brow = brow[:q]
+			var s float32
+			for j, av := range arow {
+				s += av * brow[j]
+			}
+			vals[p] += s
+		}
+	}
 }
 
 // CSRGradATBInto accumulates vals[p] += Σ_i a[i,r]·b[i,c] for every stored

@@ -15,11 +15,9 @@ import "fmt"
 // The primary accumulates are register-blocked: four (row index, level)
 // pairs are kept in flight per iteration, which strips most of the per-entry
 // loop and bounds-check overhead that made the scalar forms run at float
-// speed (the ROADMAP "Integer SIMD" latency item). Integer accumulation is
-// exact at any order, and the unrolled loops apply the same adds
-// sequentially, so results are identical to the *Scalar reference kernels —
-// which stay exported as the pinned baselines for tests and the
-// parallel-kernels benchmark.
+// speed. Integer accumulation is exact at any order, and the unrolled loops
+// apply the same adds sequentially, so results are identical to the
+// one-add-per-synapse scalar references the tests pin them against.
 
 // CSCInt8 is a column-compressed weight matrix quantized to signed 8-bit
 // levels: column q's stored rows are RowIdx[ColPtr[q]:ColPtr[q+1]],
@@ -42,8 +40,8 @@ func (c *CSCInt8) NNZ() int { return len(c.RowIdx) }
 // accumulates weight column q into the int32 accumulator —
 // acc[RowIdx[p]] += Q[p] for each stored synapse p of the column — with the
 // register-blocked 4×-unrolled inner loop. Integer accumulation is exact, so
-// the result is identical to CSCAccumulateColumnsInt8Scalar. It returns the
-// number of accumulates performed (the SynOps of the call).
+// the result is identical to a scalar one-add-per-synapse walk. It returns
+// the number of accumulates performed (the SynOps of the call).
 func CSCAccumulateColumnsInt8(acc []int32, a *CSCInt8, cols []int32) int64 {
 	if len(acc) != a.Rows {
 		panic(fmt.Sprintf("sparse: CSCAccumulateColumnsInt8 acc length %d, want %d", len(acc), a.Rows))
@@ -65,25 +63,6 @@ func CSCAccumulateColumnsInt8(acc []int32, a *CSCInt8, cols []int32) int64 {
 		}
 		for p := n; p < len(idx); p++ {
 			acc[idx[p]] += int32(lev[p])
-		}
-	}
-	return ops
-}
-
-// CSCAccumulateColumnsInt8Scalar is the scalar reference form of
-// CSCAccumulateColumnsInt8: one load-add-store per stored synapse, no
-// unrolling. It computes the identical result and is kept exported as the
-// baseline the unrolled kernel is benchmarked and equivalence-tested
-// against.
-func CSCAccumulateColumnsInt8Scalar(acc []int32, a *CSCInt8, cols []int32) int64 {
-	if len(acc) != a.Rows {
-		panic(fmt.Sprintf("sparse: CSCAccumulateColumnsInt8Scalar acc length %d, want %d", len(acc), a.Rows))
-	}
-	var ops int64
-	for _, q := range cols {
-		for p := a.ColPtr[q]; p < a.ColPtr[q+1]; p++ {
-			acc[a.RowIdx[p]] += int32(a.Q[p])
-			ops++
 		}
 	}
 	return ops
@@ -162,8 +141,8 @@ func (c *CSCInt4) Level(p int32) int32 {
 // sign-extended nibbles and both land in the int32 accumulator in one
 // iteration — the packed layout's natural 2×-register-blocked walk (columns
 // start on an entry boundary only when the column offset is even, so the
-// kernel peels a leading odd nibble first). Identical result to
-// CSCAccumulateColumnsInt4Scalar. Returns the accumulate count.
+// kernel peels a leading odd nibble first). Identical result to a scalar
+// one-Level-decode-per-synapse walk. Returns the accumulate count.
 func CSCAccumulateColumnsInt4(acc []int32, a *CSCInt4, cols []int32) int64 {
 	if len(acc) != a.Rows {
 		panic(fmt.Sprintf("sparse: CSCAccumulateColumnsInt4 acc length %d, want %d", len(acc), a.Rows))
@@ -185,24 +164,6 @@ func CSCAccumulateColumnsInt4(acc []int32, a *CSCInt4, cols []int32) int64 {
 		}
 		if p < hi { // trailing even nibble: low half of its byte
 			acc[a.RowIdx[p]] += int32(int8(a.Packed[p>>1]<<4) >> 4)
-		}
-	}
-	return ops
-}
-
-// CSCAccumulateColumnsInt4Scalar is the scalar reference form of
-// CSCAccumulateColumnsInt4: one Level decode and add per stored synapse.
-// Kept exported as the pinned baseline for tests and the parallel-kernels
-// benchmark.
-func CSCAccumulateColumnsInt4Scalar(acc []int32, a *CSCInt4, cols []int32) int64 {
-	if len(acc) != a.Rows {
-		panic(fmt.Sprintf("sparse: CSCAccumulateColumnsInt4Scalar acc length %d, want %d", len(acc), a.Rows))
-	}
-	var ops int64
-	for _, q := range cols {
-		for p := a.ColPtr[q]; p < a.ColPtr[q+1]; p++ {
-			acc[a.RowIdx[p]] += a.Level(p)
-			ops++
 		}
 	}
 	return ops

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"testing"
 
 	"ndsnn/internal/rng"
@@ -140,4 +141,126 @@ func TestCSCInt4LevelSignExtension(t *testing.T) {
 			t.Fatalf("entry %d: Level=%d, want %d", p, got, v)
 		}
 	}
+}
+
+// cscAccumulateColumnsInt8Scalar is the scalar reference form of
+// CSCAccumulateColumnsInt8: one load-add-store per stored synapse, no
+// unrolling. The unrolled kernel must match it exactly.
+func cscAccumulateColumnsInt8Scalar(acc []int32, a *CSCInt8, cols []int32) int64 {
+	if len(acc) != a.Rows {
+		panic(fmt.Sprintf("sparse: cscAccumulateColumnsInt8Scalar acc length %d, want %d", len(acc), a.Rows))
+	}
+	var ops int64
+	for _, q := range cols {
+		for p := a.ColPtr[q]; p < a.ColPtr[q+1]; p++ {
+			acc[a.RowIdx[p]] += int32(a.Q[p])
+			ops++
+		}
+	}
+	return ops
+}
+
+// cscAccumulateColumnsInt4Scalar is the scalar reference form of
+// CSCAccumulateColumnsInt4: one Level decode and add per stored synapse.
+func cscAccumulateColumnsInt4Scalar(acc []int32, a *CSCInt4, cols []int32) int64 {
+	if len(acc) != a.Rows {
+		panic(fmt.Sprintf("sparse: cscAccumulateColumnsInt4Scalar acc length %d, want %d", len(acc), a.Rows))
+	}
+	var ops int64
+	for _, q := range cols {
+		for p := a.ColPtr[q]; p < a.ColPtr[q+1]; p++ {
+			acc[a.RowIdx[p]] += a.Level(p)
+			ops++
+		}
+	}
+	return ops
+}
+
+func TestInt8AccumulateUnrolledMatchesScalar(t *testing.T) {
+	r := rng.New(653)
+	qc := randomCSCInt8(37, 41, 0.3, r)
+	for _, rate := range spikeRates {
+		cols := eventColumns(41, rate, r)
+		// Duplicate columns exercise repeated accumulation into the same rows.
+		cols = append(cols, cols...)
+		want := make([]int32, qc.Rows)
+		wops := cscAccumulateColumnsInt8Scalar(want, qc, cols)
+		got := make([]int32, qc.Rows)
+		gops := CSCAccumulateColumnsInt8(got, qc, cols)
+		if wops != gops {
+			t.Fatalf("rate %v: ops %d vs %d", rate, gops, wops)
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("rate %v: unrolled int8 accumulate differs at %d: %d vs %d", rate, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestInt4AccumulateUnrolledMatchesScalar(t *testing.T) {
+	r := rng.New(659)
+	q8 := randomCSCInt8(23, 29, 0.4, r)
+	qc := int4FromInt8(q8)
+	for _, rate := range spikeRates {
+		cols := eventColumns(29, rate, r)
+		want := make([]int32, qc.Rows)
+		wops := cscAccumulateColumnsInt4Scalar(want, qc, cols)
+		got := make([]int32, qc.Rows)
+		gops := CSCAccumulateColumnsInt4(got, qc, cols)
+		if wops != gops {
+			t.Fatalf("rate %v: ops %d vs %d", rate, gops, wops)
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("rate %v: unrolled int4 accumulate differs at %d: %d vs %d", rate, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// randomCSCInt8 builds a random int8 CSC at the given density.
+func randomCSCInt8(rows, cols int, density float64, r *rng.RNG) *CSCInt8 {
+	c := &CSCInt8{Rows: rows, Cols: cols, ColPtr: make([]int32, cols+1)}
+	for q := 0; q < cols; q++ {
+		for ri := 0; ri < rows; ri++ {
+			if r.Float64() < density {
+				c.RowIdx = append(c.RowIdx, int32(ri))
+				c.Q = append(c.Q, int8(r.Intn(255)-127))
+			}
+		}
+		c.ColPtr[q+1] = int32(len(c.RowIdx))
+	}
+	return c
+}
+
+// int4FromInt8 packs an int8 CSC's pattern with 4-bit levels derived from
+// the int8 levels (clamped to [-8,7]).
+func int4FromInt8(c *CSCInt8) *CSCInt4 {
+	out := &CSCInt4{
+		Rows: c.Rows, Cols: c.Cols,
+		ColPtr: c.ColPtr, RowIdx: c.RowIdx,
+		Packed: make([]byte, (len(c.RowIdx)+1)/2),
+	}
+	for p, q := range c.Q {
+		lv := int(q) >> 4 // [-8, 7]
+		nib := byte(lv) & 0xF
+		if p&1 == 0 {
+			out.Packed[p>>1] |= nib
+		} else {
+			out.Packed[p>>1] |= nib << 4
+		}
+	}
+	return out
+}
+
+// eventColumns draws the active-column index list of one timestep.
+func eventColumns(k int, rate float64, r *rng.RNG) []int32 {
+	var cols []int32
+	for q := 0; q < k; q++ {
+		if r.Float64() < rate {
+			cols = append(cols, int32(q))
+		}
+	}
+	return cols
 }

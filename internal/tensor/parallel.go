@@ -2,23 +2,12 @@ package tensor
 
 import "runtime"
 
-// MinParallelWork is the smallest number of scalar inner operations worth
-// splitting across workers; below it scheduling overhead dominates. It is a
-// variable (previously a constant) so benchmark sweeps can chart the
-// crossover and latency-sensitive callers can tune it; 0 or negative
-// restores the default. Not intended to be changed concurrently with running
-// kernels.
-var MinParallelWork = 2048
-
-func minWork() int {
-	if MinParallelWork <= 0 {
-		return 2048
-	}
-	return MinParallelWork
-}
+// minParallelWork is the smallest number of scalar inner operations worth
+// splitting across workers; below it scheduling overhead dominates.
+const minParallelWork = 2048
 
 // parallelWorthIt reports whether n iterations of `work` inner operations
-// each clear the MinParallelWork bar. Phrased as a division so the check
+// each clear the minParallelWork bar. Phrased as a division so the check
 // cannot overflow at any magnitude: on large layers n·work exceeds int
 // ranges (e.g. a 512-filter conv hands ParallelFor work ≈ OutC·ckk·p ≈ 2^31
 // per sample), and the old product form wrapped negative and silently forced
@@ -27,7 +16,7 @@ func parallelWorthIt(n, work int) bool {
 	if work < 1 {
 		work = 1
 	}
-	need := (int64(minWork()) + int64(work) - 1) / int64(work)
+	need := (int64(minParallelWork) + int64(work) - 1) / int64(work)
 	return int64(n) >= need
 }
 
@@ -91,15 +80,4 @@ func ParallelForStriped(n, strips int, fn func(strip, lo, hi int)) {
 		}
 		fn(t, lo, hi)
 	})
-}
-
-// ParallelStrips runs fn(strip) for strip = 0..strips-1 concurrently on the
-// worker pool — the primitive under kernels whose per-strip work is not an
-// index range (e.g. row-banded sparse matrices, where each strip owns a
-// pre-bucketed band). fn must confine its writes to strip-private state.
-func ParallelStrips(strips int, fn func(strip int)) {
-	if strips <= 0 {
-		return
-	}
-	run(strips, fn)
 }

@@ -53,25 +53,25 @@ func TestParallelForHugeWorkDoesNotOverflow(t *testing.T) {
 	}
 }
 
+// TestMinParallelWorkTunable pins both sides of the minParallelWork gate:
+// n·work just below the threshold stays on one chunk, and n·work at the
+// threshold splits.
 func TestMinParallelWorkTunable(t *testing.T) {
-	old := MinParallelWork
-	defer func() { MinParallelWork = old }()
 	oldProcs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(oldProcs)
 	runtime.GOMAXPROCS(4)
 
-	MinParallelWork = math.MaxInt64 / 4 // nothing qualifies: serial path
+	const n = 64
 	var calls atomic.Int64
-	ParallelFor(64, 1024, func(lo, hi int) { calls.Add(1) })
+	ParallelFor(n, minParallelWork/n-1, func(lo, hi int) { calls.Add(1) })
 	if calls.Load() != 1 {
-		t.Fatalf("raised threshold still split: %d chunks", calls.Load())
+		t.Fatalf("n·work below the threshold split into %d chunks", calls.Load())
 	}
 
-	MinParallelWork = 1 // everything qualifies
 	calls.Store(0)
-	ParallelFor(64, 1, func(lo, hi int) { calls.Add(1) })
+	ParallelFor(n, minParallelWork/n, func(lo, hi int) { calls.Add(1) })
 	if calls.Load() < 2 {
-		t.Fatalf("lowered threshold did not split: %d chunks", calls.Load())
+		t.Fatalf("n·work at the threshold did not split: %d chunks", calls.Load())
 	}
 }
 
@@ -150,11 +150,11 @@ func TestWorkerPoolReusesGoroutines(t *testing.T) {
 	// Warm the pool, then check that a burst of calls does not keep growing
 	// the goroutine count without bound: parked workers are reused.
 	for i := 0; i < 32; i++ {
-		ParallelStrips(4, func(int) {})
+		ParallelForStriped(4, 4, func(int, int, int) {})
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 1024; i++ {
-		ParallelStrips(4, func(int) {})
+		ParallelForStriped(4, 4, func(int, int, int) {})
 	}
 	after := runtime.NumGoroutine()
 	if after > before+maxIdleWorkers {

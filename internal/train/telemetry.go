@@ -2,7 +2,6 @@ package train
 
 import (
 	"ndsnn/internal/obs"
-	"ndsnn/internal/sparse"
 	"ndsnn/internal/tape"
 	"ndsnn/internal/tensor"
 )
@@ -11,12 +10,12 @@ import (
 // every Loop.RunEpoch meters its batch phases (data assembly, forward,
 // backward, optimizer step) into per-batch latency histograms, fills the
 // phase-timing fields of EpochStats, and exports live gauges for the BPTT
-// tape (tape_cache_bytes / tape_peak_bytes), the kernel worker pool
-// (pool_tasks_total / pool_spawns_total / pool_idle_workers) and the
-// sparse.Workers knob. Nil (the default) keeps the loop free of clock reads.
+// tape (tape_cache_bytes / tape_peak_bytes) and the kernel worker pool
+// (pool_tasks_total / pool_spawns_total / pool_idle_workers). Nil (the
+// default) keeps the loop free of clock reads.
 //
-// Like sparse.Workers this is a package-level knob: set it before starting a
-// run, not while one is in flight. The facade (Config.Metrics) manages it for
+// This is a package-level knob: set it before starting a run, not while one
+// is in flight. The facade (Config.Metrics) manages it for
 // callers going through ndsnn.TrainModel.
 var Metrics *obs.Registry
 
@@ -50,6 +49,5 @@ func attachMeters(reg *obs.Registry) *trainMeters {
 	reg.CounterFunc("pool_tasks_total", func() int64 { return tensor.ReadPoolStats().Tasks })
 	reg.CounterFunc("pool_spawns_total", func() int64 { return tensor.ReadPoolStats().Spawns })
 	reg.Gauge("pool_idle_workers", func() int64 { return int64(tensor.ReadPoolStats().Idle) })
-	reg.Gauge("sparse_workers", func() int64 { return int64(sparse.Workers) })
 	return m
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ndsnn/internal/obs"
-	"ndsnn/internal/sparse"
 	"ndsnn/internal/tape"
 	"ndsnn/internal/train"
 )
@@ -78,9 +77,6 @@ func TestLoopPhaseTimings(t *testing.T) {
 	}
 	if got := snap.Gauge("tape_peak_bytes"); got != stats.PeakCacheBytes {
 		t.Fatalf("tape_peak_bytes gauge = %d, want the epoch peak %d", got, stats.PeakCacheBytes)
-	}
-	if got := snap.Gauge("sparse_workers"); got != int64(sparse.Workers) {
-		t.Fatalf("sparse_workers gauge = %d, want %d", got, sparse.Workers)
 	}
 	names := make(map[string]bool)
 	for _, g := range snap.Gauges {

@@ -1,7 +1,6 @@
 package train_test
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"ndsnn/internal/layers"
 	"ndsnn/internal/opt"
 	"ndsnn/internal/rng"
-	"ndsnn/internal/sparse"
 	"ndsnn/internal/tape"
 	"ndsnn/internal/tensor"
 	"ndsnn/internal/testutil"
@@ -100,8 +98,7 @@ func TestLoopResetsEventStatsPerEpoch(t *testing.T) {
 	}
 }
 
-// TestLoopTapeMeterPerEpoch pins the tape meter's per-epoch semantics, at
-// both the serial and parallel kernel settings:
+// TestLoopTapeMeterPerEpoch pins the tape meter's per-epoch semantics:
 //
 //   - CacheBytes returns to its baseline after every epoch — the backward
 //     replay pops every record the training forward retained, so nothing
@@ -111,39 +108,36 @@ func TestLoopResetsEventStatsPerEpoch(t *testing.T) {
 //     peak. Without the ResetPeak at epoch start it would carry the first
 //     epoch's stale maximum.
 func TestLoopTapeMeterPerEpoch(t *testing.T) {
-	oldW := sparse.Workers
-	defer func() { sparse.Workers = oldW }()
-	for _, workers := range []int{0, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			sparse.Workers = workers
-			loop, _ := newLoop(2, 0)
-			base := tape.CacheBytes()
-			stats0, err := loop.RunEpoch(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := tape.CacheBytes(); got != base {
-				t.Fatalf("epoch 0 retained %d tape bytes after backward replay", got-base)
-			}
-			if stats0.PeakCacheBytes <= 0 {
-				t.Fatalf("epoch 0 PeakCacheBytes = %d, want > 0 during BPTT", stats0.PeakCacheBytes)
-			}
-			// Shrink the batch 4×: every activation cache shrinks with it, so
-			// epoch 1's true peak is well below epoch 0's.
-			loop.BatchSize = 4
-			stats1, err := loop.RunEpoch(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := tape.CacheBytes(); got != base {
-				t.Fatalf("epoch 1 retained %d tape bytes after backward replay", got-base)
-			}
-			if stats1.PeakCacheBytes <= 0 || stats1.PeakCacheBytes >= stats0.PeakCacheBytes {
-				t.Fatalf("epoch 1 PeakCacheBytes = %d, want in (0, %d): the peak meter did not reset with EpochStats",
-					stats1.PeakCacheBytes, stats0.PeakCacheBytes)
-			}
-		})
-	}
+	// workers=0 is the serial kernel setting, the only one the sparse
+	// kernels have.
+	t.Run("workers=0", func(t *testing.T) {
+		loop, _ := newLoop(2, 0)
+		base := tape.CacheBytes()
+		stats0, err := loop.RunEpoch(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tape.CacheBytes(); got != base {
+			t.Fatalf("epoch 0 retained %d tape bytes after backward replay", got-base)
+		}
+		if stats0.PeakCacheBytes <= 0 {
+			t.Fatalf("epoch 0 PeakCacheBytes = %d, want > 0 during BPTT", stats0.PeakCacheBytes)
+		}
+		// Shrink the batch 4×: every activation cache shrinks with it, so
+		// epoch 1's true peak is well below epoch 0's.
+		loop.BatchSize = 4
+		stats1, err := loop.RunEpoch(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tape.CacheBytes(); got != base {
+			t.Fatalf("epoch 1 retained %d tape bytes after backward replay", got-base)
+		}
+		if stats1.PeakCacheBytes <= 0 || stats1.PeakCacheBytes >= stats0.PeakCacheBytes {
+			t.Fatalf("epoch 1 PeakCacheBytes = %d, want in (0, %d): the peak meter did not reset with EpochStats",
+				stats1.PeakCacheBytes, stats0.PeakCacheBytes)
+		}
+	})
 }
 
 func TestLoopMaxBatchesCapsSteps(t *testing.T) {

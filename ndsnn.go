@@ -85,8 +85,8 @@ type Config struct {
 	// phase latency histograms, per-epoch phase totals in the history, and
 	// live tape/worker-pool gauges, readable afterwards via Model.Telemetry.
 	// Off (false) by default — the training loop then carries no clock reads.
-	// Telemetry attaches process-wide for the duration of the run (like
-	// SetKernelWorkers), so concurrent metered runs share one registry.
+	// Telemetry attaches process-wide for the duration of the run, so
+	// concurrent metered runs share one registry.
 	Metrics bool
 }
 
@@ -152,25 +152,6 @@ func resultFrom(r *train.Result) *Result {
 		})
 	}
 	return out
-}
-
-// SetKernelWorkers sets the engine-wide kernel-parallelism knob
-// (sparse.Workers): the number of strips individual sparse event kernels —
-// conv/linear event forwards, SDDMM weight gradients and compiled inference
-// stages — split their work into on the persistent worker pool. 0 (the
-// default) keeps every kernel serial, leaving parallelism to the batch
-// dimension; a typical setting is runtime.GOMAXPROCS(0), which pays off
-// exactly when batches are too narrow to fill the host (small-batch
-// training, timestep-fused calls, single-sample inference). Results are
-// bit-identical at any setting — the parallel kernels preserve the serial
-// summation order (see docs/ARCHITECTURE.md, "Threading model"). Inference
-// engines snapshot the knob at compile time; set it before
-// CompileInference/CompileQuantizedInference. Not safe to change while
-// training or inference is in flight. It returns the previous value.
-func SetKernelWorkers(n int) int {
-	old := sparse.Workers
-	sparse.Workers = n
-	return old
 }
 
 // Train runs one configuration and returns its result.

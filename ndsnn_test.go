@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -60,34 +61,40 @@ func TestTrainFacadeDeterministic(t *testing.T) {
 	}
 }
 
-// TestTrainKernelWorkersBitIdentical is the facade-level determinism pin of
-// the thread-scalable kernel engine: an entire training run — forwards,
-// event replays, SDDMM gradients, drop-and-grow rewires — must be
-// bit-identical with kernel-level parallelism on and off, because every
-// parallel kernel preserves the serial summation order.
-func TestTrainKernelWorkersBitIdentical(t *testing.T) {
-	old := SetKernelWorkers(0)
-	defer SetKernelWorkers(old)
-	a, err := Train(unitCfg(NDSNN, 0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetKernelWorkers(8)
-	b, err := Train(unitCfg(NDSNN, 0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TestAccuracy != b.TestAccuracy || a.FinalSparsity != b.FinalSparsity {
-		t.Fatalf("workers=8 run diverged: acc %v vs %v, sparsity %v vs %v",
-			b.TestAccuracy, a.TestAccuracy, b.FinalSparsity, a.FinalSparsity)
-	}
-	if len(a.History) != len(b.History) {
-		t.Fatalf("history lengths diverged: %d vs %d", len(a.History), len(b.History))
-	}
-	for i := range a.History {
-		if a.History[i].Loss != b.History[i].Loss {
-			t.Fatalf("epoch %d loss diverged: %v vs %v (parallel kernels must be bit-identical)",
-				i, b.History[i].Loss, a.History[i].Loss)
+// TestTrainBitIdenticalAcrossGOMAXPROCS is the facade-level determinism pin:
+// an entire training run — conv and linear layers, BatchNorm, event replays,
+// drop-and-grow rewires and evaluation — must give bit-identical results at
+// any core count, because every parallel path keeps a fixed summation order.
+func TestTrainBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, arch := range []string{"lenet5", "resnet19"} {
+		cfg := unitCfg(NDSNN, 0.9)
+		cfg.Arch = arch
+		runtime.GOMAXPROCS(1)
+		want, err := Train(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, err := Train(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.TestAccuracy != want.TestAccuracy || got.FinalSparsity != want.FinalSparsity {
+				t.Fatalf("%s GOMAXPROCS=%d: acc %v, sparsity %v; GOMAXPROCS=1: acc %v, sparsity %v",
+					arch, procs, got.TestAccuracy, got.FinalSparsity, want.TestAccuracy, want.FinalSparsity)
+			}
+			if len(got.History) != len(want.History) {
+				t.Fatalf("%s GOMAXPROCS=%d: %d history entries, want %d", arch, procs, len(got.History), len(want.History))
+			}
+			for i := range want.History {
+				if got.History[i] != want.History[i] {
+					t.Fatalf("%s GOMAXPROCS=%d: epoch %d %+v, GOMAXPROCS=1 %+v",
+						arch, procs, i, got.History[i], want.History[i])
+				}
+			}
 		}
 	}
 }
