@@ -12,8 +12,7 @@ import (
 // plus this repository's ablation studies, in presentation order.
 var ExperimentIDs = []string{
 	"fig1", "table1", "table2", "table3", "fig4", "fig5", "memory", "synops",
-	"sparse-gemm", "event-driven", "sparse-tape", "quant-infer",
-	"serving", "observability", "resilience",
+	"quant-infer", "observability", "resilience",
 	"ablation-grow", "ablation-shape", "ablation-allocation",
 	"ablation-surrogate", "ablation-deltat",
 }
@@ -28,11 +27,7 @@ var ExperimentDescription = map[string]string{
 	"fig5":                "Fig. 5 — normalized training cost of Dense/LTH/NDSNN",
 	"memory":              "Sec. III-D — training/inference memory-footprint model",
 	"synops":              "measured event-driven SynOps vs the Sec. IV-C analytic cost model",
-	"sparse-gemm":         "dense vs CSR training-kernel wall-clock across sparsities (JSON, BENCH_sparse_gemm.json)",
-	"event-driven":        "dual-sparse forward: dense vs CSR vs event-driven vs batched-timestep across spike rates (JSON, BENCH_event_driven.json)",
-	"sparse-tape":         "sparse temporal tape: backward speedup + peak BPTT cache memory vs the dense-cache baseline (JSON, BENCH_sparse_tape.json)",
 	"quant-infer":         "integer event-driven inference: float32 engine vs int8/int4/int16 QCSR per Sec. III-D platform (JSON, BENCH_quant_infer.json)",
-	"serving":             "multi-tenant serving: coalesced-batch throughput + p50/p99 latency across concurrency levels, bit-identical to serial (JSON, BENCH_serving.json)",
 	"observability":       "telemetry cost: serving p99/throughput with metrics off vs on (overhead gated ≤1%) + per-stage latency/SynOps breakdown (JSON, BENCH_observability.json)",
 	"resilience":          "serving failure model: availability + p99 under injected panic/delay faults vs no-fault baseline, shed-rate vs offered load, survivors gated bit-identical (JSON, BENCH_resilience.json)",
 	"ablation-grow":       "A1 — gradient vs random regrowth",
@@ -153,38 +148,6 @@ func RunExperiment(id string, w io.Writer, opts ExperimentOptions) error {
 		}
 		bench.PrintSynOps(w, r)
 		return nil
-	case "sparse-gemm":
-		iters := 10
-		if opts.Scale == "unit" {
-			iters = 3
-		}
-		rep := bench.RunSparseGEMM([]float64{0.50, 0.90, 0.99}, iters, opts.Seed, progress)
-		return bench.PrintSparseGEMM(w, rep)
-	case "event-driven":
-		iters := 10
-		rates := []float64{0.05, 0.10, 0.15}
-		sparsities := []float64{0.50, 0.90, 0.99}
-		if opts.Scale == "unit" {
-			iters = 3
-			rates = []float64{0.10}
-			sparsities = []float64{0.90}
-		}
-		rep := bench.RunEventDriven(rates, sparsities, iters, 5, opts.Seed, progress)
-		return bench.PrintEventDriven(w, rep)
-	case "sparse-tape":
-		iters := 10
-		rates := []float64{0.05, 0.10, 0.15}
-		sparsities := []float64{0.50, 0.90, 0.99}
-		if opts.Scale == "unit" {
-			iters = 3
-			rates = []float64{0.10}
-			sparsities = []float64{0.90}
-		}
-		rep, err := bench.RunSparseTape(rates, sparsities, iters, 5, opts.Seed, progress)
-		if err != nil {
-			return err
-		}
-		return bench.PrintSparseTape(w, rep)
 	case "quant-infer":
 		// ResNet-19 at 80% sparsity: the bench-scale model that trains far
 		// enough from chance for the per-platform accuracy deltas to be
@@ -196,25 +159,10 @@ func RunExperiment(id string, w io.Writer, opts ExperimentOptions) error {
 			return err
 		}
 		return bench.PrintQuantInfer(w, rep)
-	case "serving":
-		// LeNet-5 keeps the per-request compute small enough that queueing
-		// and coalescing — not raw engine latency — dominate the cells.
-		concurrency := []int{1, 4, 16, 32}
-		maxBatches := []int{1, 4, 16}
-		requests := 384
-		if opts.Scale == "unit" {
-			concurrency = []int{1, 8, 32}
-			maxBatches = []int{1, 8}
-			requests = 96
-		}
-		rep, err := bench.RunServing(s, "lenet5", 0.80, concurrency, maxBatches, requests, opts.Seed, progress)
-		if err != nil {
-			return err
-		}
-		return bench.PrintServing(w, rep)
 	case "observability":
-		// Same LeNet-5 serving workload as the serving experiment, but the
-		// cells compare metrics-off vs metrics-on arms of the same plan.
+		// LeNet-5 keeps the per-request compute small enough that queueing
+		// and coalescing — not raw engine latency — dominate the cells; they
+		// compare metrics-off vs metrics-on arms of the same plan.
 		concurrency, requests := 16, 384
 		if opts.Scale == "unit" {
 			concurrency, requests = 8, 96
@@ -225,9 +173,9 @@ func RunExperiment(id string, w io.Writer, opts ExperimentOptions) error {
 		}
 		return bench.PrintObservability(w, rep)
 	case "resilience":
-		// Same LeNet-5 workload as the serving experiment, but under injected
-		// faults and deadline pressure: the artifact is availability, not
-		// throughput.
+		// Same LeNet-5 workload as the observability experiment, but under
+		// injected faults and deadline pressure: the artifact is
+		// availability, not throughput.
 		concurrency, requests := 16, 384
 		if opts.Scale == "unit" {
 			concurrency, requests = 8, 96

@@ -274,6 +274,29 @@ func stageBreakdown(eng *infer.Engine, reg *obs.Registry) []ObsStageCell {
 	return out
 }
 
+// serialReference runs the single-caller engine over the samples, returning
+// the reference score vectors and the wall-clock per sample.
+func serialReference(eng *infer.Engine, samples []*tensor.Tensor) ([][]float32, int64) {
+	ref := make([][]float32, len(samples))
+	start := time.Now()
+	for i, s := range samples {
+		ref[i] = eng.Infer(s)
+	}
+	return ref, time.Since(start).Nanoseconds() / int64(len(samples))
+}
+
+// percentileNs returns the p-th percentile of sorted latencies.
+func percentileNs(sorted []int64, p int) int64 {
+	idx := (len(sorted)*p + 99) / 100
+	if idx >= len(sorted) {
+		idx = len(sorted)
+	}
+	if idx < 1 {
+		idx = 1
+	}
+	return sorted[idx-1]
+}
+
 // PrintObservability writes the report as indented JSON (the BENCH artifact
 // format).
 func PrintObservability(w io.Writer, rep *ObsReport) error {

@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"ndsnn/internal/infer"
 	"ndsnn/internal/models"
-	"ndsnn/internal/quant"
-	"ndsnn/internal/rng"
 	"ndsnn/internal/snn"
 	"ndsnn/internal/sparse"
 	"ndsnn/internal/tensor"
@@ -20,10 +17,9 @@ import (
 // paper's Sec. III-D platform table. An NDSNN-trained model is compiled
 // three ways — the float32 event engine, and the integer QCSR engines at
 // each platform's weight precision — and evaluated on the same test
-// samples, so the JSON records measured latency, measured SynOps, measured
-// packed-weight bytes and the measured accuracy delta instead of the
-// estimates the table previously carried. Recorded as
-// BENCH_quant_infer.json.
+// samples, so the JSON records measured SynOps, measured packed-weight
+// bytes and the measured accuracy delta instead of the estimates the table
+// previously carried. Recorded as BENCH_quant_infer.json.
 
 // Int8AccuracyTolerance is the pinned acceptable int8-below-fp32 engine
 // accuracy gap (one-sided — quantization noise flipping samples *towards*
@@ -41,8 +37,6 @@ type QuantInferRow struct {
 	// Acc is the integer engine's test accuracy; AccDelta = Acc − fp32 acc.
 	Acc      float64 `json:"acc"`
 	AccDelta float64 `json:"acc_delta"`
-	// LatencyNsPerSample is the integer engine's measured wall-clock.
-	LatencyNsPerSample int64 `json:"latency_ns_per_sample"`
 	// SynOpsPerSample drops below the fp32 engine's when weights quantize
 	// to exactly zero (dead synapses the integer kernels skip).
 	SynOpsPerSample float64 `json:"synops_per_sample"`
@@ -66,33 +60,13 @@ type QuantInferRow struct {
 	MaxAbsDiffVsDequantRef float64 `json:"max_abs_diff_vs_dequant_ref"`
 }
 
-// QuantKernelCell is the kernel-level microbenchmark: the float event
-// kernel versus its integer twins on the same VGG-16-shaped layer and
-// batched-timestep spike pattern, isolating the arithmetic from the
-// engine's float stages (LIF, pooling) that dominate end-to-end latency.
-type QuantKernelCell struct {
-	WeightSparsity float64 `json:"weight_sparsity"`
-	SpikeRate      float64 `json:"spike_rate"`
-	NNZWeights     int     `json:"nnz_weights"`
-	// Wall-clock per kernel call, nanoseconds, median of Iters runs:
-	// float32 CSCMatMulEventsSerialInto vs the int8/int4 twins.
-	FloatNs int64 `json:"float_ns"`
-	Int8Ns  int64 `json:"int8_ns"`
-	Int4Ns  int64 `json:"int4_ns"`
-	// Int8VsFloat > 1 means the integer accumulate beat the float kernel.
-	Int8VsFloat float64 `json:"int8_vs_float"`
-	// MaxAbsDiff must be 0: the weights are integer-valued, so all three
-	// kernels compute the same exact sums.
-	MaxAbsDiff float64 `json:"max_abs_diff"`
-}
-
 // FullIntegerCell is the fully-integer pipeline measurement: a LeNet-style
 // model (power-of-two avg-pool windows) compiled with 8-bit weights AND
 // 8-bit activations under FullInteger, so every compute stage — the
 // direct-encoding first conv, both average pools, the post-pool linears —
 // runs integer synaptic arithmetic (AnalogStages must be 0, where the mixed
-// engine leaves MixedAnalogStages of them float). Alongside latency and the
-// accuracy delta it records the activation-memory column: the dtype-aware
+// engine leaves MixedAnalogStages of them float). Alongside the accuracy
+// delta it records the activation-memory column: the dtype-aware
 // per-request footprint of the inter-stage activation edges (1 bit per
 // binary spike, ActivationBits per quantized level) against the same
 // buffers at float32 width.
@@ -101,13 +75,11 @@ type FullIntegerCell struct {
 	WeightBits     int    `json:"weight_bits"`
 	ActivationBits int    `json:"activation_bits"`
 	// FP32 engine baseline for the same trained model.
-	FP32Acc                float64 `json:"fp32_acc"`
-	FP32LatencyNsPerSample int64   `json:"fp32_latency_ns_per_sample"`
-	FP32SynOpsPerSample    float64 `json:"fp32_synops_per_sample"`
-	Acc                    float64 `json:"acc"`
-	AccDelta               float64 `json:"acc_delta"`
-	LatencyNsPerSample     int64   `json:"latency_ns_per_sample"`
-	SynOpsPerSample        float64 `json:"synops_per_sample"`
+	FP32Acc             float64 `json:"fp32_acc"`
+	FP32SynOpsPerSample float64 `json:"fp32_synops_per_sample"`
+	Acc                 float64 `json:"acc"`
+	AccDelta            float64 `json:"acc_delta"`
+	SynOpsPerSample     float64 `json:"synops_per_sample"`
 	// Integer coverage: AnalogStages is 0 by the FullInteger compile
 	// guarantee; MixedAnalogStages is what the weights-only engine leaves
 	// analog on the same model.
@@ -131,21 +103,19 @@ type QuantInferReport struct {
 	Sparsity float64 `json:"sparsity"`
 	Samples  int     `json:"samples"`
 	// FP32 engine baseline.
-	FP32Acc                float64 `json:"fp32_acc"`
-	FP32LatencyNsPerSample int64   `json:"fp32_latency_ns_per_sample"`
-	FP32SynOpsPerSample    float64 `json:"fp32_synops_per_sample"`
+	FP32Acc             float64 `json:"fp32_acc"`
+	FP32SynOpsPerSample float64 `json:"fp32_synops_per_sample"`
 	// Int8AccTolerance echoes the pinned CI gate.
 	Int8AccTolerance float64          `json:"int8_acc_tolerance"`
 	Rows             []QuantInferRow  `json:"rows"`
-	Kernel           QuantKernelCell  `json:"kernel"`
 	FullInteger      *FullIntegerCell `json:"full_integer"`
 }
 
 // RunQuantInfer trains one NDSNN model, compiles the float32 event engine
 // and the integer QCSR engine at every Sec. III-D platform precision, and
-// measures accuracy, latency, SynOps and packed-weight bytes on the same
-// test samples. It returns an error when the int8 accuracy diverges from
-// fp32 beyond Int8AccuracyTolerance — the CI smoke gate.
+// measures accuracy, SynOps and packed-weight bytes on the same test
+// samples. It returns an error when the int8 accuracy diverges from fp32
+// beyond Int8AccuracyTolerance — the CI smoke gate.
 func RunQuantInfer(s Scale, arch string, sparsity float64, seed uint64, progress Progress) (*QuantInferReport, error) {
 	ds := s.Dataset(CIFAR10, 1000+seed)
 	net := models.Build(models.Config{
@@ -177,31 +147,28 @@ func RunQuantInfer(s Scale, arch string, sparsity float64, seed uint64, progress
 	if err != nil {
 		return nil, err
 	}
-	_, facc, fns := evalEngine(feng, samples, ds.Test.Labels)
+	_, facc := evalEngine(feng, samples, ds.Test.Labels)
 	rep.FP32Acc = facc
-	rep.FP32LatencyNsPerSample = fns
 	rep.FP32SynOpsPerSample = float64(feng.SynOps()) / float64(n)
-	report(progress, "quant-infer fp32: acc=%.3f latency=%s/sample synops=%.0f",
-		facc, time.Duration(fns), rep.FP32SynOpsPerSample)
+	report(progress, "quant-infer fp32: acc=%.3f synops=%.0f", facc, rep.FP32SynOpsPerSample)
 
 	for _, platform := range sparse.Platforms {
 		qeng, err := infer.CompileQuantized(net, platform.WeightBits)
 		if err != nil {
 			return nil, err
 		}
-		qscores, qacc, qns := evalEngine(qeng, samples, ds.Test.Labels)
+		qscores, qacc := evalEngine(qeng, samples, ds.Test.Labels)
 		st := qeng.QuantStats()
 		row := QuantInferRow{
 			Platform: platform.Name, Bits: platform.WeightBits,
 			Acc: qacc, AccDelta: qacc - facc,
-			LatencyNsPerSample: qns,
-			SynOpsPerSample:    float64(qeng.SynOps()) / float64(n),
-			PackedValueBytes:   st.PackedValueBytes,
-			FloatValueBytes:    st.FloatValueBytes,
-			QuantizedStages:    st.QuantizedStages,
-			ComputeStages:      st.ComputeStages,
-			StoredSynapses:     st.StoredSynapses,
-			ZeroQuantized:      st.ZeroQuantized,
+			SynOpsPerSample:  float64(qeng.SynOps()) / float64(n),
+			PackedValueBytes: st.PackedValueBytes,
+			FloatValueBytes:  st.FloatValueBytes,
+			QuantizedStages:  st.QuantizedStages,
+			ComputeStages:    st.ComputeStages,
+			StoredSynapses:   st.StoredSynapses,
+			ZeroQuantized:    st.ZeroQuantized,
 		}
 		if st.PackedValueBytes > 0 {
 			row.MemoryReduction = float64(st.FloatValueBytes) / float64(st.PackedValueBytes)
@@ -217,14 +184,14 @@ func RunQuantInfer(s Scale, arch string, sparsity float64, seed uint64, progress
 			restore()
 			return nil, err
 		}
-		dscores, _, _ := evalEngine(deng, samples, ds.Test.Labels)
+		dscores, _ := evalEngine(deng, samples, ds.Test.Labels)
 		restore()
 		for i := range qscores {
 			row.MaxAbsDiffVsDequantRef = math.Max(row.MaxAbsDiffVsDequantRef, maxAbsDiff32(qscores[i], dscores[i]))
 		}
 		rep.Rows = append(rep.Rows, row)
-		report(progress, "quant-infer %s (int%d): acc=%.3f (Δ%+.3f) latency=%s/sample synops=%.0f mem %.1fx diff=%.2g",
-			platform.Name, platform.WeightBits, qacc, row.AccDelta, time.Duration(qns),
+		report(progress, "quant-infer %s (int%d): acc=%.3f (Δ%+.3f) synops=%.0f mem %.1fx diff=%.2g",
+			platform.Name, platform.WeightBits, qacc, row.AccDelta,
 			row.SynOpsPerSample, row.MemoryReduction, row.MaxAbsDiffVsDequantRef)
 		if platform.WeightBits == 8 {
 			if row.MaxAbsDiffVsDequantRef != 0 {
@@ -234,18 +201,6 @@ func RunQuantInfer(s Scale, arch string, sparsity float64, seed uint64, progress
 				return nil, fmt.Errorf("bench: int8 accuracy %0.3f diverges from fp32 %0.3f beyond the pinned tolerance %0.2f", qacc, facc, Int8AccuracyTolerance)
 			}
 		}
-	}
-	iters := 10
-	if s.Name == "unit" {
-		iters = 3
-	}
-	rep.Kernel = runQuantKernel(0.90, 0.10, iters, seed)
-	report(progress, "quant-infer kernel θ=%.2f rate=%.2f: float=%s int8=%s int4=%s (int8 vs float %.2fx) diff=%g",
-		rep.Kernel.WeightSparsity, rep.Kernel.SpikeRate, time.Duration(rep.Kernel.FloatNs),
-		time.Duration(rep.Kernel.Int8Ns), time.Duration(rep.Kernel.Int4Ns),
-		rep.Kernel.Int8VsFloat, rep.Kernel.MaxAbsDiff)
-	if rep.Kernel.MaxAbsDiff != 0 {
-		return nil, fmt.Errorf("bench: integer kernels diverge from the float kernel on integer weights (max abs diff %g)", rep.Kernel.MaxAbsDiff)
 	}
 	rep.FullInteger, err = runFullInteger(s, sparsity, seed, progress)
 	if err != nil {
@@ -285,9 +240,8 @@ func runFullInteger(s Scale, sparsity float64, seed uint64, progress Progress) (
 	if err != nil {
 		return nil, err
 	}
-	_, facc, fns := evalEngine(feng, samples, ds.Test.Labels)
+	_, facc := evalEngine(feng, samples, ds.Test.Labels)
 	cell.FP32Acc = facc
-	cell.FP32LatencyNsPerSample = fns
 	cell.FP32SynOpsPerSample = float64(feng.SynOps()) / float64(n)
 
 	cfg := infer.QuantConfig{WeightBits: 8, FullInteger: true}
@@ -308,10 +262,9 @@ func runFullInteger(s Scale, sparsity float64, seed uint64, progress Progress) (
 	}
 	cell.MixedAnalogStages = mixed.QuantStats().AnalogStages
 
-	_, qacc, qns := evalEngine(full, samples, ds.Test.Labels)
+	_, qacc := evalEngine(full, samples, ds.Test.Labels)
 	cell.Acc = qacc
 	cell.AccDelta = qacc - facc
-	cell.LatencyNsPerSample = qns
 	cell.SynOpsPerSample = float64(full.SynOps()) / float64(n)
 
 	// Activation-memory column: size the inter-stage edges from the arena of
@@ -349,16 +302,16 @@ func runFullInteger(s Scale, sparsity float64, seed uint64, progress Progress) (
 		restore()
 		return nil, err
 	}
-	fscores, _, _ := evalEngine(full, snapped, ds.Test.Labels)
-	mscores, _, _ := evalEngine(dmixed, snapped, ds.Test.Labels)
-	rscores, _, _ := evalEngine(dref, snapped, ds.Test.Labels)
+	fscores, _ := evalEngine(full, snapped, ds.Test.Labels)
+	mscores, _ := evalEngine(dmixed, snapped, ds.Test.Labels)
+	rscores, _ := evalEngine(dref, snapped, ds.Test.Labels)
 	restore()
 	for i := range fscores {
 		cell.MaxAbsDiffVsMixed = math.Max(cell.MaxAbsDiffVsMixed, maxAbsDiff32(fscores[i], mscores[i]))
 		cell.MaxAbsDiffVsDequantRef = math.Max(cell.MaxAbsDiffVsDequantRef, maxAbsDiff32(fscores[i], rscores[i]))
 	}
-	report(progress, "quant-infer full-integer %s (w8/a8): acc=%.3f (Δ%+.3f) latency=%s/sample analog=%d (mixed %d) act-mem %.1fx diff vs mixed=%g ref=%g",
-		arch, qacc, cell.AccDelta, time.Duration(qns), cell.AnalogStages, cell.MixedAnalogStages,
+	report(progress, "quant-infer full-integer %s (w8/a8): acc=%.3f (Δ%+.3f) analog=%d (mixed %d) act-mem %.1fx diff vs mixed=%g ref=%g",
+		arch, qacc, cell.AccDelta, cell.AnalogStages, cell.MixedAnalogStages,
 		cell.ActivationMemoryReduction, cell.MaxAbsDiffVsMixed, cell.MaxAbsDiffVsDequantRef)
 	if cell.MaxAbsDiffVsMixed != 0 {
 		return nil, fmt.Errorf("bench: fully-integer engine diverges from the mixed engine on dequantized weights (max abs diff %g, want exact)", cell.MaxAbsDiffVsMixed)
@@ -372,83 +325,12 @@ func runFullInteger(s Scale, sparsity float64, seed uint64, progress Progress) (
 	return cell, nil
 }
 
-// runQuantKernel times the float event kernel against the int8 and packed
-// int4 twins on a VGG-16-shaped layer (512 filters × 512·3·3 patch, 4×4
-// map — the shape of the event-driven bench) with integer-valued weights in
-// [-7,7], so all three precisions represent the matrix exactly and any
-// output difference is a kernel bug.
-func runQuantKernel(sparsity, rate float64, iters int, seed uint64) QuantKernelCell {
-	const (
-		rows  = 512
-		cols  = 4608
-		patch = 16
-	)
-	r := rng.New(seed*17 + 3)
-	w := tensor.New(rows, cols)
-	mask := tensor.New(rows, cols)
-	for i := range w.Data {
-		if r.Float64() >= sparsity {
-			l := int8(r.Float64()*15) - 7
-			if l == 0 {
-				l = 1
-			}
-			w.Data[i] = float32(l)
-			mask.Data[i] = 1
-		}
-	}
-	csc := sparse.NewCSCFromCSR(sparse.EncodeCSRWithMask(w, mask))
-	i8 := &sparse.CSCInt8{
-		Rows: csc.Rows, Cols: csc.Cols, ColPtr: csc.ColPtr, RowIdx: csc.RowIdx,
-		Q: make([]int8, csc.NNZ()),
-	}
-	for p, v := range csc.Val {
-		i8.Q[p] = int8(v)
-	}
-	i4 := &sparse.CSCInt4{
-		Rows: csc.Rows, Cols: csc.Cols, ColPtr: csc.ColPtr, RowIdx: csc.RowIdx,
-		Packed: quant.PackInt4(i8.Q),
-	}
-	b := tensor.New(cols, patch)
-	for i := range b.Data {
-		if r.Float64() < rate {
-			b.Data[i] = 1
-		}
-	}
-	ev, ok := sparse.EncodeEvents(b)
-	if !ok {
-		panic("bench: spike raster not binary")
-	}
-	yF := tensor.New(rows, patch)
-	y8 := make([]int32, rows*patch)
-	y4 := make([]int32, rows*patch)
-	cell := QuantKernelCell{
-		WeightSparsity: sparsity, SpikeRate: rate, NNZWeights: csc.NNZ(),
-		FloatNs: medianNs(func() { sparse.CSCMatMulEventsSerialInto(yF, csc, ev, false) }, iters),
-		Int8Ns:  medianNs(func() { sparse.CSCMatMulEventsInt8SerialInto(y8, i8, ev, false) }, iters),
-		Int4Ns:  medianNs(func() { sparse.CSCMatMulEventsInt4SerialInto(y4, i4, ev, false) }, iters),
-	}
-	if cell.Int8Ns > 0 {
-		cell.Int8VsFloat = float64(cell.FloatNs) / float64(cell.Int8Ns)
-	}
-	for i, v := range yF.Data {
-		d := math.Abs(float64(v) - float64(y8[i]))
-		if d4 := math.Abs(float64(v) - float64(y4[i])); d4 > d {
-			d = d4
-		}
-		if d > cell.MaxAbsDiff {
-			cell.MaxAbsDiff = d
-		}
-	}
-	return cell
-}
-
 // evalEngine classifies every sample, returning the per-sample score
-// vectors, the accuracy, and the measured wall-clock per sample.
-func evalEngine(eng *infer.Engine, samples []*tensor.Tensor, labels []int) (scores [][]float32, acc float64, nsPerSample int64) {
+// vectors and the accuracy.
+func evalEngine(eng *infer.Engine, samples []*tensor.Tensor, labels []int) (scores [][]float32, acc float64) {
 	eng.ResetStats()
 	scores = make([][]float32, len(samples))
 	correct := 0
-	start := time.Now()
 	for i, s := range samples {
 		scores[i] = eng.Infer(s)
 		best, bestIdx := scores[i][0], 0
@@ -462,8 +344,18 @@ func evalEngine(eng *infer.Engine, samples []*tensor.Tensor, labels []int) (scor
 			correct++
 		}
 	}
-	elapsed := time.Since(start).Nanoseconds()
-	return scores, float64(correct) / float64(len(samples)), elapsed / int64(len(samples))
+	return scores, float64(correct) / float64(len(samples))
+}
+
+func maxAbsDiff32(a, b []float32) float64 {
+	var m float64
+	for i := range a {
+		d := math.Abs(float64(a[i] - b[i]))
+		if d > m {
+			m = d
+		}
+	}
+	return m
 }
 
 // PrintQuantInfer writes the report as indented JSON (the BENCH artifact

@@ -20,8 +20,8 @@ import (
 )
 
 // Resilience benchmark: the serving layer's failure model under measurement.
-// The same closed-loop workload as the serving benchmark runs three arms —
-// no fault, a periodic injected engine panic, and a periodic injected
+// The same closed-loop workload as the observability benchmark runs three
+// arms — no fault, a periodic injected engine panic, and a periodic injected
 // dispatch delay — recording availability (served / attempted) and latency
 // percentiles for each, then a shed sweep drives an adaptive-shedding server
 // with deadline-carrying clients at rising concurrency to trace shed rate vs

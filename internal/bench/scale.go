@@ -20,7 +20,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 
 	"ndsnn/internal/data"
 	"ndsnn/internal/models"
@@ -122,11 +121,6 @@ func ScaleByName(name string) Scale {
 	default:
 		return ScaleBench
 	}
-}
-
-// ScaleFromEnv reads NDSNN_SCALE (default "bench").
-func ScaleFromEnv() Scale {
-	return ScaleByName(os.Getenv("NDSNN_SCALE"))
 }
 
 // Dataset builds the proxy dataset for a canonical key at this scale.

@@ -5,7 +5,7 @@ import (
 
 	"ndsnn/internal/layers"
 	"ndsnn/internal/rng"
-	"ndsnn/internal/sparse"
+	"ndsnn/internal/tape"
 	"ndsnn/internal/tensor"
 )
 
@@ -153,54 +153,6 @@ func TestEventMaxRateGate(t *testing.T) {
 	}
 }
 
-// TestParamCSRMaxDensityOverride checks that the calibrated per-param
-// threshold overrides the package default in both directions.
-func TestParamCSRMaxDensityOverride(t *testing.T) {
-	r := rng.New(241)
-	p := layers.NewParam("w", tensor.New(8, 20))
-	p.Mask = sparse.RandomMask(p.W.Shape(), 0.5, r)
-	p.ApplyMask()
-
-	withCSRDensity(1, func() {
-		p.CSRMaxDensity = 0.01 // calibrated: CSR never wins for this shape
-		if p.SparseW() != nil {
-			t.Fatal("override low: SparseW should be nil")
-		}
-		p.CSRMaxDensity = 0.99 // calibrated: CSR wins at any density
-		if p.SparseW() == nil {
-			t.Fatal("override high: SparseW should engage")
-		}
-	})
-	p.InvalidateCSR()
-	withCSRDensity(0, func() {
-		p.CSRMaxDensity = 0.99 // override beats the global kill switch too
-		if p.SparseW() == nil {
-			t.Fatal("per-param override should beat the package default")
-		}
-	})
-}
-
-// TestCSRCrossoverDensity sanity-checks the calibration probe: a plausible
-// crossover in range, memoized, and wired through the layer helpers.
-func TestCSRCrossoverDensity(t *testing.T) {
-	d := layers.CSRCrossoverDensity(16, 64, 8)
-	if d < 0.05 || d > 0.95 {
-		t.Fatalf("crossover %v outside [0.05, 0.95]", d)
-	}
-	if d2 := layers.CSRCrossoverDensity(16, 64, 8); d2 != d {
-		t.Fatalf("memoized probe returned %v then %v", d, d2)
-	}
-	r := rng.New(251)
-	conv := layers.NewConv2d("c", 4, 8, 3, 1, 1, false, r)
-	if got := conv.CalibrateCSR(6, 6); got != conv.Weight.CSRMaxDensity || got <= 0 {
-		t.Fatalf("conv calibration not stored: got %v, param %v", got, conv.Weight.CSRMaxDensity)
-	}
-	lin := layers.NewLinear("fc", 64, 16, false, r)
-	if got := lin.CalibrateCSR(4); got != lin.Weight.CSRMaxDensity || got <= 0 {
-		t.Fatalf("linear calibration not stored: got %v, param %v", got, lin.Weight.CSRMaxDensity)
-	}
-}
-
 // TestLinearBackwardSeqMatchesPerTimestep pins the fused time-major linear
 // replay (one stacked events SDDMM + one backward-data weight traversal)
 // against T per-timestep Backward calls: input gradients bit-identical,
@@ -303,5 +255,39 @@ func TestLinearBackwardSeqFallsBackOnDenseRecords(t *testing.T) {
 	})
 	if d := maxDiff(ref.Weight.Grad, l.Weight.Grad); d != 0 {
 		t.Fatalf("dense-record fallback grads differ by %v", d)
+	}
+}
+
+// TestConv2dBackwardSeqEventCacheMatchesDenseCache replays a VGG-16
+// deep-stage convolution (512→512 filters on an 8×8 map, batch 2, T=5) at
+// 90% weight sparsity and 10% spikes, with active-position-only gradients
+// and the default CSR and event gates, once from dense activation caches
+// and once from the event-encoded tape. The fused event replay sums the
+// timesteps in a different order, so the weight gradients agree within
+// float noise, not bit for bit.
+func TestConv2dBackwardSeqEventCacheMatchesDenseCache(t *testing.T) {
+	const T, b, c, side = 5, 2, 512, 8
+	r := rng.New(1217)
+	conv := layers.NewConv2d("c", c, c, 3, 1, 1, false, r)
+	maskParam(conv.Weight, 0.10, r)
+	conv.Weight.SparseGradOK = true
+	xs := make([]*tensor.Tensor, T)
+	dys := make([]*tensor.Tensor, T)
+	for t2 := range xs {
+		xs[t2] = spikeTensor(r, 0.10, b, c, side, side)
+		dys[t2] = randInput(r, b, c, side, side)
+	}
+	grad := func(events bool) *tensor.Tensor {
+		old := tape.CacheEvents
+		tape.CacheEvents = events
+		defer func() { tape.CacheEvents = old }()
+		conv.ForwardSeq(xs, true)
+		conv.Weight.ZeroGrad()
+		conv.BackwardSeq(dys)
+		return conv.Weight.Grad.Clone()
+	}
+	dense := grad(false)
+	if d := maxDiff(dense, grad(true)); d > 1e-4 {
+		t.Fatalf("event-cache weight gradient differs from the dense-cache one by %v", d)
 	}
 }

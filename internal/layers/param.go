@@ -37,11 +37,6 @@ type Param struct {
 	// decision, which needs magnitudes at inactive positions too. It is
 	// false by default so gradient checks and baselines stay exact.
 	SparseGradOK bool
-	// CSRMaxDensity, when > 0, overrides the package-level CSRMaxDensity
-	// threshold for this parameter — the calibrated per-layer-shape
-	// dense/CSR crossover measured by CalibrateCSR. Zero means "use the
-	// package default".
-	CSRMaxDensity float64
 
 	// csr/csc cache the sparse encodings of W managed by
 	// SparseW/SparseWCSC/InvalidateCSR; csrDensity caches the mask's

@@ -23,12 +23,6 @@ import "ndsnn/internal/sparse"
 // path (0 disables CSR, 1 enables it at any density); the threshold is
 // consulted on every SparseW call, so changing it affects live parameters
 // without an explicit invalidation.
-//
-// The 0.5 default is conservative — on most hardware the measured crossover
-// is higher because the dense kernels cannot skip zeros. Use
-// CSRCrossoverDensity / the layers' CalibrateCSR methods to replace it with
-// a measured per-layer-shape threshold (stored in Param.CSRMaxDensity, which
-// overrides this global when set).
 var CSRMaxDensity = 0.5
 
 // EventMaxRate is the spike occupancy (fraction of non-zero activation
@@ -74,11 +68,10 @@ func (p *Param) SparseW() *sparse.CSR {
 }
 
 // csrEligible reports whether the sparse path should engage: the parameter
-// is masked and its live-weight density is at most the effective threshold.
-// The density is counted once per topology (the pattern is fixed until the
-// next invalidation); the threshold is compared on every call (O(1)) so
-// flipping it takes effect immediately on live parameters. A calibrated
-// per-param threshold (CalibrateCSR) overrides the package default.
+// is masked and its live-weight density is at most CSRMaxDensity. The
+// density is counted once per topology (the pattern is fixed until the next
+// invalidation); the threshold is compared on every call (O(1)) so flipping
+// it takes effect immediately on live parameters.
 func (p *Param) csrEligible() bool {
 	if p.Mask == nil {
 		return false
@@ -86,11 +79,7 @@ func (p *Param) csrEligible() bool {
 	if p.csrDensity < 0 {
 		p.csrDensity = float64(p.ActiveCount()) / float64(p.W.Size())
 	}
-	limit := CSRMaxDensity
-	if p.CSRMaxDensity > 0 {
-		limit = p.CSRMaxDensity
-	}
-	return p.csrDensity <= limit
+	return p.csrDensity <= CSRMaxDensity
 }
 
 // SparseWCSC returns the cached CSC (column-compressed) view of the

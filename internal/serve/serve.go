@@ -686,6 +686,10 @@ func (s *Server) runBatch(batch []*request, t0 time.Time, ds *dispatchScratch) {
 		}
 	}
 	faultDeliver.Fire()
+	// Count the batch before any reply goes out: a caller holding its reply
+	// must find its sample in Stats().
+	s.batches.Add(1)
+	s.batched.Add(int64(len(live)))
 	for i, r := range live {
 		if cerr := r.ctx.Err(); cerr != nil {
 			// The caller already unblocked with ctx.Err(); the buffered done
@@ -697,6 +701,4 @@ func (s *Server) runBatch(batch []*request, t0 time.Time, ds *dispatchScratch) {
 			r.done <- response{scores: outs[i]}
 		}
 	}
-	s.batches.Add(1)
-	s.batched.Add(int64(len(live)))
 }

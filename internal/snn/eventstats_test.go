@@ -7,6 +7,7 @@ import (
 	"ndsnn/internal/metrics"
 	"ndsnn/internal/rng"
 	"ndsnn/internal/snn"
+	"ndsnn/internal/sparse"
 	"ndsnn/internal/tensor"
 )
 
@@ -67,4 +68,35 @@ func TestNetworkEventStatsAggregation(t *testing.T) {
 	}
 	c1.Weight.InvalidateCSR()
 	c2.Weight.InvalidateCSR()
+}
+
+// TestEventPathEngagesAtDefaultGates runs a masked conv→LIF→conv→LIF→linear
+// stack at 10% weight density on analog input under the default CSR and
+// event gates: the spike-fed layers must route some sample-timesteps
+// through the event-driven kernels without any gate being forced.
+func TestEventPathEngagesAtDefaultGates(t *testing.T) {
+	r := rng.New(96)
+	c1 := layers.NewConv2d("c1", 3, 16, 3, 1, 1, false, r)
+	c2 := layers.NewConv2d("c2", 16, 16, 3, 1, 1, false, r)
+	fc := layers.NewLinear("fc", 16*8*8, 10, false, r)
+	for _, p := range []*layers.Param{c1.Weight, c2.Weight, fc.Weight} {
+		p.Mask = sparse.RandomMask(p.W.Shape(), 0.1, r)
+		p.ApplyMask()
+	}
+	net := &snn.Network{
+		Layers: []layers.Layer{
+			c1, snn.DefaultNeuron().New(),
+			c2, snn.DefaultNeuron().New(),
+			layers.NewFlatten(), fc,
+		},
+		T: 5,
+	}
+	x := tensor.New(4, 3, 8, 8)
+	for i := range x.Data {
+		x.Data[i] = r.NormFloat32()
+	}
+	net.Forward(x, false)
+	if es := net.EventStats(); es.EventCoverage() <= 0 {
+		t.Fatalf("event path never engaged at the default gates: coverage %v, occupancy %v", es.EventCoverage(), es.Occupancy())
+	}
 }

@@ -99,18 +99,30 @@ func TestCSCAccumulateColumnsIntMatchesFloatKernel(t *testing.T) {
 
 func TestCSCMatMulEventsIntMatchesFloatKernel(t *testing.T) {
 	r := rng.New(43)
-	for _, rate := range []float64{0, 0.05, 0.3, 1} {
-		csc, i8, i4 := randomIntCSC(23, 31, 0.35, r)
-		ev, _ := randomEvents(31, 7, rate, r)
-		want := tensor.New(23, 7)
+	cases := []struct {
+		rows, cols, n int
+		density, rate float64
+	}{
+		{23, 31, 7, 0.35, 0},
+		{23, 31, 7, 0.35, 0.05},
+		{23, 31, 7, 0.35, 0.3},
+		{23, 31, 7, 0.35, 1},
+		// VGG-16 deep stage (512 filters × 512·3·3 patch, 4×4 map) at 90%
+		// weight sparsity and 10% spikes.
+		{512, 4608, 16, 0.10, 0.10},
+	}
+	for _, c := range cases {
+		csc, i8, i4 := randomIntCSC(c.rows, c.cols, c.density, r)
+		ev, _ := randomEvents(c.cols, c.n, c.rate, r)
+		want := tensor.New(c.rows, c.n)
 		CSCMatMulEventsSerialInto(want, csc, ev, false)
-		got8 := make([]int32, 23*7)
+		got8 := make([]int32, c.rows*c.n)
 		CSCMatMulEventsInt8SerialInto(got8, i8, ev, false)
-		got4 := make([]int32, 23*7)
+		got4 := make([]int32, c.rows*c.n)
 		CSCMatMulEventsInt4SerialInto(got4, i4, ev, false)
 		for i := range got8 {
 			if float32(got8[i]) != want.Data[i] || got4[i] != got8[i] {
-				t.Fatalf("rate=%v entry %d: int8=%d int4=%d float=%v", rate, i, got8[i], got4[i], want.Data[i])
+				t.Fatalf("%d×%d rate=%v entry %d: int8=%d int4=%d float=%v", c.rows, c.cols, c.rate, i, got8[i], got4[i], want.Data[i])
 			}
 		}
 		// Accumulate mode adds on top instead of overwriting.
@@ -118,7 +130,7 @@ func TestCSCMatMulEventsIntMatchesFloatKernel(t *testing.T) {
 		CSCMatMulEventsInt4SerialInto(got4, i4, ev, true)
 		for i := range got8 {
 			if got8[i] != 2*int32(want.Data[i]) || got4[i] != got8[i] {
-				t.Fatalf("accumulate rate=%v entry %d: int8=%d int4=%d want %v", rate, i, got8[i], got4[i], 2*int32(want.Data[i]))
+				t.Fatalf("accumulate %d×%d rate=%v entry %d: int8=%d int4=%d want %v", c.rows, c.cols, c.rate, i, got8[i], got4[i], 2*int32(want.Data[i]))
 			}
 		}
 	}

@@ -17,7 +17,7 @@
 //
 // Every push and pop updates a package-level memory meter
 // (CacheBytes/PeakBytes), so peak BPTT activation-cache memory is a measured
-// quantity rather than a model — the sparse-tape benchmark records it.
+// quantity rather than a model — perfbench records it as tape.peak_mib.
 //
 // # Time-major execution
 //
