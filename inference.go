@@ -45,7 +45,7 @@ func (e *InferenceEngine) TestLen() int { return e.ds.Test.N() }
 // grid-quantized), how many compute stages execute in integer and how many
 // still run float synaptic arithmetic (AnalogStages — zero is the checkable
 // "fully integer" claim), the stored-synapse census (including synapses
-// whose level rounded to zero — dead weight the integer kernels skip), and
+// whose level rounded to zero — dead weight the integer stages skip), and
 // the packed value-storage bytes against the float32 engine's 4 bytes per
 // synapse.
 type QuantInfo struct {

@@ -38,7 +38,7 @@ type QuantInferRow struct {
 	Acc      float64 `json:"acc"`
 	AccDelta float64 `json:"acc_delta"`
 	// SynOpsPerSample drops below the fp32 engine's when weights quantize
-	// to exactly zero (dead synapses the integer kernels skip).
+	// to exactly zero (dead synapses the integer stages skip).
 	SynOpsPerSample float64 `json:"synops_per_sample"`
 	// PackedValueBytes vs FloatValueBytes is the value-storage footprint of
 	// the quantized stages (indices and scales are identical either way);

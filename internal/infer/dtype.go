@@ -26,8 +26,10 @@ import "fmt"
 type DType struct {
 	// Kind discriminates the edge type.
 	Kind DKind
-	// Bits is the signed level width of a QuantInt edge (informational for
-	// memory accounting and overflow reasoning; the kernels use int32).
+	// Bits is the signed level width of a QuantInt edge. It sizes the
+	// edge's activation memory, and its maxLevel bounds the integer stage
+	// the edge feeds: the compile fails if that stage's int32 accumulator
+	// could overflow.
 	Bits int
 	// Scale is the QuantInt grid step, a power of two.
 	Scale float32

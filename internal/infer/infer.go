@@ -136,8 +136,9 @@ type QuantStats struct {
 	// Stages is the per-stage dtype table (also via Engine.StageDTypes).
 	Stages []StageDType
 	// StoredSynapses counts synapses stored by quantized stages;
-	// ZeroQuantized of them rounded to level zero and are skipped by the
-	// integer kernels (the measured SynOps reduction of quantization).
+	// ZeroQuantized of them rounded to level zero and are left out of the
+	// integer stages' synapse tables (the measured SynOps reduction of
+	// quantization).
 	StoredSynapses, ZeroQuantized int64
 	// PackedValueBytes is the quantized value storage of the quantized
 	// stages (two synapses per byte at 4 bits); FloatValueBytes is what the
@@ -161,10 +162,15 @@ func (e *Engine) ResetStats() { e.synOps.Store(0) }
 
 // DenseMACsPerTimestep returns the MAC count a dense, non-event
 // implementation would spend per timestep on one sample — the denominator
-// of the measured efficiency ratio.
-func (e *Engine) DenseMACsPerTimestep() int64 {
+// of the measured efficiency ratio. Conv stages size their bound from the
+// last input they saw, so call it after the engine has served a request.
+func (e *Engine) DenseMACsPerTimestep() int64 { return denseMACs(e.stages) }
+
+// denseMACs sums the dense-MAC bound of the compute stages in stages,
+// residual blocks included.
+func denseMACs(stages []stage) int64 {
 	var total int64
-	for _, s := range e.stages {
+	for _, s := range stages {
 		if d, ok := s.(interface{ denseMACs() int64 }); ok {
 			total += d.denseMACs()
 		}
@@ -371,7 +377,7 @@ func (e *Engine) release(sc *Scratch) { e.pool.Put(sc) }
 
 // compiler walks the layer list turning layers into stages, and assigns
 // every stage its Scratch slots (activation buffer, membrane state, integer
-// accumulators, band tallies) — the arena layout shared by all requests. It
+// accumulators) — the arena layout shared by all requests. It
 // also propagates the typed activation IR (dtype.go): dt is the dtype of
 // the edge flowing into the next stage — LIF outputs are BinarySpike, max
 // pooling and reshapes preserve their input dtype, conv/linear requant
@@ -402,11 +408,17 @@ func (c *compiler) record(s stage, in, out DType) {
 // recordKind appends a dtype-table row for a pseudo-stage (the residual
 // join) or with explicit attributes.
 func (c *compiler) recordKind(kind string, in, out DType, integer bool, slot int) {
-	name := fmt.Sprintf("%s%02d_%s", c.prefix, c.seq, kind)
+	name := c.stageName(kind)
 	c.seq++
 	c.eng.stageDT = append(c.eng.stageDT, StageDType{
 		Name: name, Kind: kind, In: in, Out: out, Integer: integer, slot: slot,
 	})
+}
+
+// stageName is the dtype-table name the next recorded stage of this kind
+// gets ("03_residual/00_qconv").
+func (c *compiler) stageName(kind string) string {
+	return fmt.Sprintf("%s%02d_%s", c.prefix, c.seq, kind)
 }
 
 func (c *compiler) actSlot() int { s := c.nAct; c.nAct++; return s }
@@ -610,47 +622,8 @@ func (e *Engine) Infer(sample *tensor.Tensor) []float32 {
 // that keep scores across requests must copy them (Infer does). Use this
 // when managing arenas explicitly; otherwise call Infer.
 func (e *Engine) InferScratch(sc *Scratch, sample *tensor.Tensor) []float32 {
-	return e.inferScratch(sc, sample, nil)
-}
-
-func (e *Engine) inferScratch(sc *Scratch, sample *tensor.Tensor, pt *PassTrace) []float32 {
-	sc.begin()
-	t0, tracked := e.beginPass(sc, pt != nil)
-	in := &sc.input
-	in.shape = appendShape(in.shape[:0], sample)
-	in.data = sample.Data
-	in.refreshEvents()
-	var pre *act
-	for t := 0; t < e.T; t++ {
-		faultPass.Fire()
-		if t == 0 {
-			pre = e.stepStages(sc, in, 0, e.prefix)
-			// The tallies hold only the prefix's ops here; count them at
-			// every timestep, as the T-step network performs them.
-			sc.synOps *= int64(e.T)
-			if tracked {
-				e.creditPrefixStages(sc)
-			}
-		}
-		cur := e.stepStages(sc, pre, e.prefix, len(e.stages))
-		if len(sc.avg) == 0 {
-			sc.avg = growFloat32(sc.avg, len(cur.data))
-		}
-		for i, v := range cur.data {
-			sc.avg[i] += v
-		}
-	}
-	inv := 1 / float32(e.T)
-	for i := range sc.avg {
-		sc.avg[i] *= inv
-	}
-	e.synOps.Add(sc.synOps)
-	sc.synOps = 0
-	if tracked {
-		e.endPass(sc, t0, "infer", 1, pt)
-	} else if pt != nil {
-		pt.Spans = pt.Spans[:0]
-	}
+	sc.load(sample)
+	e.pass([]*Scratch{sc}, nil)
 	return sc.avg
 }
 
@@ -664,7 +637,7 @@ func (e *Engine) inferScratch(sc *Scratch, sample *tensor.Tensor, pt *PassTrace)
 // arithmetic and operation order are exactly Infer's, so outputs are
 // bit-identical to serial single-sample calls. Safe for concurrent use.
 func (e *Engine) InferBatch(samples []*tensor.Tensor) [][]float32 {
-	return e.inferBatch(samples, nil)
+	return e.InferBatchTraced(samples, nil)
 }
 
 // InferBatchTraced is InferBatch with trace collection: when telemetry is
@@ -675,39 +648,44 @@ func (e *Engine) InferBatch(samples []*tensor.Tensor) [][]float32 {
 // pt.Spans comes back empty and the call is exactly InferBatch. Outputs are
 // bit-identical to InferBatch and to serial Infer calls either way.
 func (e *Engine) InferBatchTraced(samples []*tensor.Tensor, pt *PassTrace) [][]float32 {
-	return e.inferBatch(samples, pt)
-}
-
-func (e *Engine) inferBatch(samples []*tensor.Tensor, pt *PassTrace) [][]float32 {
-	n := len(samples)
-	if n == 0 {
+	if len(samples) == 0 {
 		if pt != nil {
 			pt.Spans = pt.Spans[:0]
 		}
 		return nil
 	}
-	if n == 1 {
-		sc := e.acquire()
-		res := append([]float32(nil), e.inferScratch(sc, samples[0], pt)...)
-		e.release(sc)
-		return [][]float32{res}
-	}
-	scs := make([]*Scratch, n)
-	cur := make([]*act, n)
-	pre := make([]*act, n)
+	scs := make([]*Scratch, len(samples))
 	for i, s := range samples {
-		sc := e.acquire()
-		sc.begin()
-		sc.input.shape = appendShape(sc.input.shape[:0], s)
-		sc.input.data = s.Data
-		sc.input.refreshEvents()
-		scs[i] = sc
-		pre[i] = &sc.input
+		scs[i] = e.acquire()
+		scs[i].load(s)
 	}
-	// Telemetry for the whole coalesced pass accumulates on the first arena:
-	// per-stage SynOps sum over samples, per-stage wall-clock measured around
-	// the stage-major inner loop (the batch's aggregate, matching how the
-	// pass actually spends time).
+	e.pass(scs, pt)
+	out := make([][]float32, len(scs))
+	for i, sc := range scs {
+		out[i] = append([]float32(nil), sc.avg...)
+		e.release(sc)
+	}
+	return out
+}
+
+// load starts a request on the arena: fresh temporal state, and sample as
+// the network input with its event list built once for the whole pass.
+func (sc *Scratch) load(sample *tensor.Tensor) {
+	sc.begin()
+	in := &sc.input
+	in.shape = appendShape(in.shape[:0], sample)
+	in.data = sample.Data
+	in.refreshEvents()
+	sc.cur = in
+}
+
+// pass runs one loaded arena per sample through T timesteps, stage-major,
+// and leaves each sample's time-averaged output in its arena's avg. With
+// telemetry on, the pass's telemetry accumulates on the first arena:
+// per-stage SynOps summed over samples, and on traced passes per-stage
+// wall-clock around each stage's loop over the arenas and the integer
+// stages' requant sub-timing summed over arenas.
+func (e *Engine) pass(scs []*Scratch, pt *PassTrace) {
 	sc0 := scs[0]
 	t0, tracked := e.beginPass(sc0, pt != nil)
 	if !tracked && pt != nil {
@@ -722,33 +700,35 @@ func (e *Engine) inferBatch(samples []*tensor.Tensor, pt *PassTrace) [][]float32
 	for t := 0; t < e.T; t++ {
 		faultPass.Fire()
 		if t == 0 {
-			e.stepStagesBatch(scs, pre, sc0, 0, e.prefix)
+			e.stepStages(scs, 0, e.prefix)
 			for _, sc := range scs {
-				sc.synOps *= int64(e.T) // as in inferScratch
+				sc.pre = sc.cur
+				// The tallies hold only the prefix's ops here; count them
+				// at every timestep, as the T-step network performs them.
+				sc.synOps *= int64(e.T)
 			}
 			if tracked {
 				e.creditPrefixStages(sc0)
 			}
 		}
-		copy(cur, pre)
-		e.stepStagesBatch(scs, cur, sc0, e.prefix, len(e.stages))
-		for i, sc := range scs {
+		for _, sc := range scs {
+			sc.cur = sc.pre
+		}
+		e.stepStages(scs, e.prefix, len(e.stages))
+		for _, sc := range scs {
 			if len(sc.avg) == 0 {
-				sc.avg = growFloat32(sc.avg, len(cur[i].data))
+				sc.avg = growFloat32(sc.avg, len(sc.cur.data))
 			}
-			for j, v := range cur[i].data {
-				sc.avg[j] += v
+			for i, v := range sc.cur.data {
+				sc.avg[i] += v
 			}
 		}
 	}
-	out := make([][]float32, n)
 	inv := 1 / float32(e.T)
-	for i, sc := range scs {
-		res := make([]float32, len(sc.avg))
-		for j, v := range sc.avg {
-			res[j] = v * inv
+	for _, sc := range scs {
+		for i := range sc.avg {
+			sc.avg[i] *= inv
 		}
-		out[i] = res
 		e.synOps.Add(sc.synOps)
 		sc.synOps = 0
 	}
@@ -759,12 +739,8 @@ func (e *Engine) inferBatch(samples []*tensor.Tensor, pt *PassTrace) [][]float32
 				sc.timeRequant = false
 			}
 		}
-		e.endPass(sc0, t0, "infer", n, pt)
+		e.endPass(sc0, t0, "infer", len(scs), pt)
 	}
-	for _, sc := range scs {
-		e.release(sc)
-	}
-	return out
 }
 
 // appendShape appends a tensor's dimensions to dst without the copy

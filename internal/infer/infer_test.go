@@ -165,21 +165,28 @@ func TestSynOpsScaleWithSparsity(t *testing.T) {
 
 func TestSynOpsBelowDenseMACs(t *testing.T) {
 	// Event-driven ops must undercut the dense-MAC bound because spikes are
-	// sparse even in a dense-weight model.
+	// sparse even in a dense-weight model. The untrained ResNet-19 checks
+	// that the bound counts the convs inside residual blocks.
 	ds := data.SynthEasy(4, 64, 16, 39)
-	net := testutil.TinyNet(4, 2, 9)
-	trainBriefly(t, net, ds)
-	eng, err := infer.Compile(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pix := ds.Config.C * ds.Config.H * ds.Config.W
-	sample := tensor.FromSlice(ds.Test.Images[:pix], 3, 16, 16)
-	eng.ResetStats()
-	eng.Infer(sample)
-	denseBound := eng.DenseMACsPerTimestep() * int64(net.T)
-	if eng.SynOps() >= denseBound {
-		t.Fatalf("SynOps %d not below dense bound %d", eng.SynOps(), denseBound)
+	tiny := testutil.TinyNet(4, 2, 9)
+	trainBriefly(t, tiny, ds)
+	resnet := models.Build(models.Config{
+		Arch: "resnet19", Classes: 4, InC: 3, InH: 16, InW: 16,
+		Timesteps: 2, Neuron: snn.DefaultNeuron(), Profile: models.ProfileTiny, Seed: 3,
+	})
+	for name, net := range map[string]*snn.Network{"tinynet": tiny, "resnet19": resnet} {
+		eng, err := infer.Compile(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pix := ds.Config.C * ds.Config.H * ds.Config.W
+		sample := tensor.FromSlice(ds.Test.Images[:pix], 3, 16, 16)
+		eng.ResetStats()
+		eng.Infer(sample)
+		denseBound := eng.DenseMACsPerTimestep() * int64(net.T)
+		if eng.SynOps() >= denseBound {
+			t.Fatalf("%s: SynOps %d not below dense bound %d", name, eng.SynOps(), denseBound)
+		}
 	}
 }
 

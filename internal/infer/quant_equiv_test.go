@@ -308,6 +308,31 @@ func TestFullIntegerCompileFailsOnNonPo2Pool(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsInt32Overflow: at 16-bit weights and 16-bit
+// activations, TinyNet's first integer conv can sum past 2^31−1 in its
+// int32 accumulator, which would wrap silently. The compile must fail,
+// naming the stage, while narrower configurations of the same net compile.
+func TestCompileRejectsInt32Overflow(t *testing.T) {
+	ds := data.SynthEasy(4, 64, 16, 31)
+	net := testutil.TinyNet(4, 3, 1)
+	trainBriefly(t, net, ds)
+	_, err := infer.CompileQuantizedConfig(net, infer.QuantConfig{WeightBits: 16, ActivationBits: 16, FullInteger: true})
+	if err == nil || !strings.Contains(err.Error(), "01_qconv") || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("16/16 compile: err = %v, want an overflow error naming stage 01_qconv", err)
+	}
+	for _, cfg := range []infer.QuantConfig{
+		{WeightBits: 8, ActivationBits: 8, FullInteger: true},
+		{WeightBits: 12, ActivationBits: 12, FullInteger: true},
+		{WeightBits: 16},
+		{WeightBits: 16, ActivationBits: 8},
+		{WeightBits: 8, ActivationBits: 16},
+	} {
+		if _, err := infer.CompileQuantizedConfig(net, cfg); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+	}
+}
+
 func TestResidualDTypeReconciliation(t *testing.T) {
 	// Regression for the old save/restore of a raw binary flag: a residual
 	// whose branches disagree on dtype — the identity shortcut keeps the

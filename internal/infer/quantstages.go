@@ -2,6 +2,7 @@ package infer
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -13,9 +14,11 @@ import (
 )
 
 // Quantized stages: the integer twins of convStage/linearStage. Weights are
-// stored as QCSR levels (per-output-channel power-of-two scales) and events
-// accumulate in int32; the accumulator leaves integer exactly once per
-// output element and timestep, at the requantization affine
+// QCSR levels (per-output-channel power-of-two scales), held as int32 in
+// the same synapse tables the float stages use, and events accumulate in
+// int32 through the same walks (convScatter, linearScatter); the
+// accumulator leaves integer exactly once per output element and timestep,
+// at the requantization affine
 //
 //	y = bnScale·(s·acc + bias) + bnShift  =  M·acc + C
 //
@@ -26,7 +29,7 @@ import (
 // engine running on the dequantized weights: s is a power of two, making
 // every dequantized level s·q and every partial sum s·Σq exact in float32.
 // Like their float twins the integer stages are immutable plans: the int32
-// accumulator and the event-index staging list live in arena slots.
+// accumulator lives in an arena slot.
 
 // quantizedWeight records which trained parameter an integer stage
 // quantized, and to what.
@@ -37,21 +40,36 @@ type quantizedWeight struct {
 
 // quantizeWeight encodes a parameter's weight matrix (value-keyed: exact
 // zeros — masked-out weights — are not stored) and quantizes it onto the
-// per-channel QCSR grid, registering the pair on the engine.
-func quantizeWeight(p *layers.Param, bits int, e *Engine) (*quant.QCSR, error) {
+// per-channel QCSR grid, registering the pair on the engine. It fails,
+// naming the stage (kind is its label), when the stage's int32 accumulator
+// could overflow: one output's accumulator sums at most one level ×
+// input-level product per synapse of its row, so Σ|level| times the input
+// edge's maxLevel bounds it.
+func (c *compiler) quantizeWeight(p *layers.Param, kind string) (*quant.QCSR, error) {
 	rows := p.W.Dim(0)
 	w2d := p.W.Reshape(rows, p.W.Size()/rows)
-	q, err := quant.QuantizeCSR(sparse.EncodeCSR(w2d), bits, true)
+	q, err := quant.QuantizeCSR(sparse.EncodeCSR(w2d), c.cfg.WeightBits, true)
 	if err != nil {
 		return nil, err
 	}
+	e := c.eng
 	e.qweights = append(e.qweights, quantizedWeight{p: p, q: q})
 	st := e.quant
 	st.QuantizedStages++
 	st.StoredSynapses += int64(q.NNZ())
-	for p := 0; p < q.NNZ(); p++ {
-		if q.Level(p) == 0 {
-			st.ZeroQuantized++
+	maxIn := c.dt.maxLevel()
+	for r := 0; r < q.Rows; r++ {
+		var sum int64
+		for p := q.RowPtr[r]; p < q.RowPtr[r+1]; p++ {
+			lv := int64(q.Level(int(p)))
+			if lv == 0 {
+				st.ZeroQuantized++
+			}
+			sum += max(lv, -lv)
+		}
+		if sum*maxIn > math.MaxInt32 {
+			return nil, fmt.Errorf("infer: stage %s can overflow its int32 accumulator: output %d sums up to %d (Σ|level| %d × max input level %d), above 2^31−1; lower WeightBits or ActivationBits",
+				c.stageName(kind), r, sum*maxIn, sum, maxIn)
 		}
 	}
 	st.PackedValueBytes += q.PackedValueBytes()
@@ -59,28 +77,22 @@ func quantizeWeight(p *layers.Param, bits int, e *Engine) (*quant.QCSR, error) {
 	return q, nil
 }
 
-// qconvEntry is one active quantized synapse of an event-driven
-// convolution, grouped by presynaptic channel.
-type qconvEntry struct {
-	f      int32 // output channel
-	ki, kj int32 // kernel offsets
-	q      int32 // quantized level (dequantize with deq[f])
-}
-
 // qconvStage is the integer event-driven convolution with optional folded
-// BN. Geometry and post-accumulation op order mirror convStage exactly.
+// BN. Geometry and post-accumulation op order mirror convStage exactly, and
+// it runs the same convScatter over int32 levels.
 //
 // The stage accepts either grid dtype (dtype.go). Fed binary spikes
-// (invIn == 0) the accumulate is pure adds; fed a QuantInt edge the stage
-// recovers each event's integer level with one exact multiply (1/scale is
-// a power of two) and accumulates level×level products — the quantized
-// analog-input convolution of the fully-integer pipeline. Either way the
-// requantization multiplier deq folds the input grid's scale (po2 × po2 is
-// exact), so the stage remains bit-identical to the float stage running on
-// dequantized weights and grid inputs.
+// (invIn == 0) every event contributes 1, so the accumulate is a sum of
+// levels; fed a QuantInt edge each event contributes its integer level,
+// recovered with one exact multiply (1/scale is a power of two), and the
+// accumulate is level×level products — the quantized analog-input
+// convolution of the fully-integer pipeline. Either way the requantization
+// multiplier deq folds the input grid's scale (po2 × po2 is exact), so the
+// stage remains bit-identical to the float stage running on dequantized
+// weights and grid inputs.
 type qconvStage struct {
 	inC, outC, k, stride, pad int
-	perChannel                [][]qconvEntry
+	perChannel                [][]convEntry[int32]
 	deq                       []float32 // per-output-channel dequantization scale (× input grid scale)
 	invIn                     float32   // 1/input grid scale; 0 on binary-spike inputs
 	bias                      []float32 // conv bias (may be nil)
@@ -90,13 +102,13 @@ type qconvStage struct {
 }
 
 func newQConvStage(l *layers.Conv2d, bn *layers.BatchNorm, c *compiler) (*qconvStage, error) {
-	qc, err := quantizeWeight(l.Weight, c.cfg.WeightBits, c.eng)
+	qc, err := c.quantizeWeight(l.Weight, "qconv")
 	if err != nil {
 		return nil, err
 	}
 	s := &qconvStage{
 		inC: l.InC, outC: l.OutC, k: l.K, stride: l.Stride, pad: l.Pad,
-		perChannel: make([][]qconvEntry, l.InC),
+		perChannel: make([][]convEntry[int32], l.InC),
 		deq:        make([]float32, l.OutC),
 		slot:       c.actSlot(), accSlot: c.intSlot(),
 	}
@@ -117,7 +129,7 @@ func newQConvStage(l *layers.Conv2d, bn *layers.BatchNorm, c *compiler) (*qconvS
 			ci := col / kk
 			ki := (col % kk) / l.K
 			kj := col % l.K
-			s.perChannel[ci] = append(s.perChannel[ci], qconvEntry{int32(f), int32(ki), int32(kj), lv})
+			s.perChannel[ci] = append(s.perChannel[ci], convEntry[int32]{int32(f), int32(ki), int32(kj), lv})
 		}
 	}
 	if l.Bias != nil {
@@ -141,26 +153,8 @@ func (s *qconvStage) step(sc *Scratch, in *act) *act {
 	out := sc.actBuf3(s.slot, s.outC, oh, ow)
 	p := oh * ow
 	acc := sc.int32Buf(s.accSlot, s.outC*p)
-	if s.invIn != 0 {
-		// Validate the whole event list once, before the scatter touches
-		// it: every event must sit exactly on the input grid.
-		for _, ev := range in.events {
-			if lv := ev.Val * s.invIn; float32(int32(lv)) != lv {
-				panic(fmt.Sprintf("infer: quantized conv stage received off-grid event %v (compile-time dtype propagation violated)", ev.Val))
-			}
-		}
-	} else {
-		for _, ev := range in.events {
-			if ev.Val != 1 {
-				panic(fmt.Sprintf("infer: quantized conv stage received non-binary event %v (compile-time dtype propagation violated)", ev.Val))
-			}
-		}
-	}
-	if s.invIn != 0 {
-		sc.synOps += qconvScatterEventsGraded(acc, in.events, s.perChannel, h, w, oh, ow, p, s.stride, s.pad, s.invIn)
-	} else {
-		sc.synOps += qconvScatterEvents(acc, in.events, s.perChannel, h, w, oh, ow, p, s.stride, s.pad)
-	}
+	inv := gridEvents(in.events, s.invIn, "conv")
+	sc.synOps += convScatter(acc, in.events, s.perChannel, inv, h, w, oh, ow, s.stride, s.pad)
 	var rqStart time.Time
 	if sc.timeRequant {
 		rqStart = time.Now()
@@ -195,102 +189,52 @@ func (s *qconvStage) step(sc *Scratch, in *act) *act {
 	return out
 }
 
-// qconvScatterEvents accumulates every (spike × quantized synapse)
-// contribution of one timestep into the int32 accumulator — convScatterEvents
-// with the multiply dropped (binary events × integer levels = adds). Returns
-// the accumulate count (SynOps).
-func qconvScatterEvents(acc []int32, events []Event, perChannel [][]qconvEntry,
-	h, w, oh, ow, p, stride, pad int) int64 {
-	var ops int64
+// gridEvents validates an integer stage's whole input event list against
+// its compiled input grid before the scatter touches it, and returns the
+// scatter's inv: 1 on a spike input (invIn == 0), where every event must
+// be exactly 1, and invIn on a QuantInt input, where every event must be
+// an exact level. kind names the stage in the panic.
+func gridEvents(events []Event, invIn float32, kind string) float32 {
+	if invIn == 0 {
+		for _, ev := range events {
+			if ev.Val != 1 {
+				panic(fmt.Sprintf("infer: quantized %s stage received non-binary event %v (compile-time dtype propagation violated)", kind, ev.Val))
+			}
+		}
+		return 1
+	}
 	for _, ev := range events {
-		idx := int(ev.Idx)
-		ci := idx / (h * w)
-		rem := idx % (h * w)
-		y := rem / w
-		x := rem % w
-		for _, en := range perChannel[ci] {
-			ny := y + pad - int(en.ki)
-			nx := x + pad - int(en.kj)
-			if ny < 0 || nx < 0 || ny%stride != 0 || nx%stride != 0 {
-				continue
-			}
-			oy, ox := ny/stride, nx/stride
-			if oy >= oh || ox >= ow {
-				continue
-			}
-			acc[int(en.f)*p+oy*ow+ox] += en.q
-			ops++
+		if lv := ev.Val * invIn; float32(int32(lv)) != lv {
+			panic(fmt.Sprintf("infer: quantized %s stage received off-grid event %v (compile-time dtype propagation violated)", kind, ev.Val))
 		}
 	}
-	return ops
+	return invIn
 }
 
-// qconvScatterEventsGraded is qconvScatterEvents for a QuantInt input edge:
-// each event carries an integer level (recovered exactly — 1/scale is a
-// power of two; step validated the event list), and the accumulate is
-// level×level products instead of adds. The op count (SynOps) is unchanged:
-// one op per (event × active synapse), whatever the event's magnitude.
-func qconvScatterEventsGraded(acc []int32, events []Event, perChannel [][]qconvEntry,
-	h, w, oh, ow, p, stride, pad int, invIn float32) int64 {
-	var ops int64
-	for _, ev := range events {
-		lvl := int32(ev.Val * invIn)
-		idx := int(ev.Idx)
-		ci := idx / (h * w)
-		rem := idx % (h * w)
-		y := rem / w
-		x := rem % w
-		for _, en := range perChannel[ci] {
-			ny := y + pad - int(en.ki)
-			nx := x + pad - int(en.kj)
-			if ny < 0 || nx < 0 || ny%stride != 0 || nx%stride != 0 {
-				continue
-			}
-			oy, ox := ny/stride, nx/stride
-			if oy >= oh || ox >= ow {
-				continue
-			}
-			acc[int(en.f)*p+oy*ow+ox] += en.q * lvl
-			ops++
-		}
-	}
-	return ops
-}
-
-// qlinearStage is the integer event-driven fully-connected layer: incoming
-// spike indices select quantized weight columns via the int8/int4 CSC
-// kernels (packed nibbles computed from directly at 4 bits), accumulating
-// into int32; 9–16-bit levels take an equivalent int16 entry walk. A
-// QuantInt input edge (graded events — the fully-integer pipeline's
-// avg-pool outputs) takes the entry walk at every width, multiplying each
-// synapse level by the event's recovered integer level.
+// qlinearStage is the integer event-driven fully-connected layer: the same
+// linearScatter as linearStage over int32 levels, into an int32
+// accumulator. As in qconvStage, a spike event contributes 1 and a graded
+// event (a QuantInt input edge — the fully-integer pipeline's avg-pool
+// outputs) its recovered integer level.
 type qlinearStage struct {
-	in, out                int
-	w8                     *sparse.CSCInt8 // binary input, bits ≤ 8 (except packed 4-bit)
-	w4                     *sparse.CSCInt4 // binary input, bits == 4
-	perInput               [][]qlinEntry   // bits ≥ 9, or any width on a graded input
-	deq                    []float32
-	invIn                  float32 // 1/input grid scale; 0 on binary-spike inputs
-	bias                   []float32
-	scale, shift           []float32
-	slot, accSlot, idxSlot int
-}
-
-// qlinEntry is one stored synapse of the entry-walk path (9–16-bit levels,
-// or graded inputs at any width).
-type qlinEntry struct {
-	out int32
-	q   int32
+	in, out       int
+	perInput      [][]linearEntry[int32]
+	deq           []float32
+	invIn         float32 // 1/input grid scale; 0 on binary-spike inputs
+	bias          []float32
+	scale, shift  []float32
+	slot, accSlot int
 }
 
 func newQLinearStage(l *layers.Linear, bn *layers.BatchNorm, c *compiler) (*qlinearStage, error) {
-	qc, err := quantizeWeight(l.Weight, c.cfg.WeightBits, c.eng)
+	qc, err := c.quantizeWeight(l.Weight, "qlinear")
 	if err != nil {
 		return nil, err
 	}
 	s := &qlinearStage{
 		in: l.In, out: l.Out, deq: make([]float32, l.Out),
-		slot: c.actSlot(), accSlot: c.intSlot(), idxSlot: c.intSlot(),
+		perInput: make([][]linearEntry[int32], l.In),
+		slot:     c.actSlot(), accSlot: c.intSlot(),
 	}
 	inScale := float32(1)
 	if c.dt.Kind == QuantInt {
@@ -299,19 +243,9 @@ func newQLinearStage(l *layers.Linear, bn *layers.BatchNorm, c *compiler) (*qlin
 	}
 	for o := 0; o < l.Out; o++ {
 		s.deq[o] = qc.RowScale(o) * inScale
-	}
-	switch {
-	case s.invIn == 0 && c.cfg.WeightBits == 4:
-		s.w4 = qc.CSCInt4()
-	case s.invIn == 0 && c.cfg.WeightBits <= 8:
-		s.w8 = qc.CSCInt8()
-	default:
-		s.perInput = make([][]qlinEntry, l.In)
-		for o := 0; o < l.Out; o++ {
-			for p := qc.RowPtr[o]; p < qc.RowPtr[o+1]; p++ {
-				if lv := qc.Level(int(p)); lv != 0 {
-					s.perInput[qc.ColIdx[p]] = append(s.perInput[qc.ColIdx[p]], qlinEntry{int32(o), lv})
-				}
+		for p := qc.RowPtr[o]; p < qc.RowPtr[o+1]; p++ {
+			if lv := qc.Level(int(p)); lv != 0 {
+				s.perInput[qc.ColIdx[p]] = append(s.perInput[qc.ColIdx[p]], linearEntry[int32]{int32(o), lv})
 			}
 		}
 	}
@@ -329,45 +263,8 @@ func (s *qlinearStage) denseMACs() int64 { return int64(s.in) * int64(s.out) }
 func (s *qlinearStage) step(sc *Scratch, in *act) *act {
 	out := sc.actBuf1(s.slot, s.out)
 	acc := sc.int32Buf(s.accSlot, s.out)
-	if s.invIn != 0 {
-		var ops int64
-		for _, ev := range in.events {
-			lv := ev.Val * s.invIn
-			lvl := int32(lv)
-			if float32(lvl) != lv {
-				panic(fmt.Sprintf("infer: quantized linear stage received off-grid event %v (compile-time dtype propagation violated)", ev.Val))
-			}
-			for _, en := range s.perInput[ev.Idx] {
-				acc[en.out] += en.q * lvl
-				ops++
-			}
-		}
-		sc.synOps += ops
-	} else {
-		idxs := sc.ints[s.idxSlot][:0]
-		for _, ev := range in.events {
-			if ev.Val != 1 {
-				panic(fmt.Sprintf("infer: quantized linear stage received non-binary event %v (compile-time dtype propagation violated)", ev.Val))
-			}
-			idxs = append(idxs, ev.Idx)
-		}
-		sc.ints[s.idxSlot] = idxs
-		switch {
-		case s.w4 != nil:
-			sc.synOps += sparse.CSCAccumulateColumnsInt4(acc, s.w4, idxs)
-		case s.w8 != nil:
-			sc.synOps += sparse.CSCAccumulateColumnsInt8(acc, s.w8, idxs)
-		default:
-			var ops int64
-			for _, q := range idxs {
-				for _, en := range s.perInput[q] {
-					acc[en.out] += en.q
-					ops++
-				}
-			}
-			sc.synOps += ops
-		}
-	}
+	inv := gridEvents(in.events, s.invIn, "linear")
+	sc.synOps += linearScatter(acc, in.events, s.perInput, inv)
 	var rqStart time.Time
 	if sc.timeRequant {
 		rqStart = time.Now()

@@ -22,8 +22,10 @@ import "ndsnn/internal/obs"
 type Scratch struct {
 	acts   []act      // activation slots, one per producing stage
 	lif    []lifState // membrane-state slots, one per LIF stage
-	ints   [][]int32  // int32 slots: integer accumulators, event-index lists
+	ints   [][]int32  // int32 slots: the integer stages' accumulators
 	input  act        // the network input (aliases the sample, owns its event list)
+	cur    *act       // the activation entering the next stage of the pass
+	pre    *act       // the time-invariant prefix's output, computed at t=0
 	avg    []float32  // time-averaged output accumulator
 	synOps int64      // request-local SynOps, rolled into the engine atomically
 

@@ -30,18 +30,22 @@ func bnFold(bn *layers.BatchNorm) (scale, shift []float32) {
 	return scale, shift
 }
 
+// weight is the accumulator type of a synapse walk: float32 on the float
+// stages, int32 (quantized levels) on the integer stages.
+type weight interface{ float32 | int32 }
+
 // convEntry is one active synapse of an event-driven convolution, grouped
 // by presynaptic channel.
-type convEntry struct {
+type convEntry[W weight] struct {
 	f      int32 // output channel
 	ki, kj int32 // kernel offsets
-	w      float32
+	w      W
 }
 
 // convStage is an event-driven convolution with optional folded BN.
 type convStage struct {
 	inC, outC, k, stride, pad int
-	perChannel                [][]convEntry
+	perChannel                [][]convEntry[float32]
 	bias                      []float32 // conv bias (may be nil)
 	scale, shift              []float32 // folded BN (may be nil)
 	activeSynapses            int64
@@ -52,7 +56,7 @@ type convStage struct {
 func newConvStage(l *layers.Conv2d, bn *layers.BatchNorm, c *compiler) *convStage {
 	s := &convStage{
 		inC: l.InC, outC: l.OutC, k: l.K, stride: l.Stride, pad: l.Pad,
-		perChannel: make([][]convEntry, l.InC),
+		perChannel: make([][]convEntry[float32], l.InC),
 		slot:       c.actSlot(),
 	}
 	w := l.Weight.W
@@ -62,7 +66,7 @@ func newConvStage(l *layers.Conv2d, bn *layers.BatchNorm, c *compiler) *convStag
 				for kj := 0; kj < l.K; kj++ {
 					v := w.At(f, ci, ki, kj)
 					if v != 0 {
-						s.perChannel[ci] = append(s.perChannel[ci], convEntry{int32(f), int32(ki), int32(kj), v})
+						s.perChannel[ci] = append(s.perChannel[ci], convEntry[float32]{int32(f), int32(ki), int32(kj), v})
 						s.activeSynapses++
 					}
 				}
@@ -101,7 +105,7 @@ func (s *convStage) step(sc *Scratch, in *act) *act {
 	ow := tensor.ConvOutSize(w, s.k, s.stride, s.pad)
 	out := sc.actBuf3(s.slot, s.outC, oh, ow)
 	p := oh * ow
-	sc.synOps += convScatterEvents(out.data, in.events, s.perChannel, h, w, oh, ow, p, s.stride, s.pad)
+	sc.synOps += convScatter(out.data, in.events, s.perChannel, 1, h, w, oh, ow, s.stride, s.pad)
 	for f := 0; f < s.outC; f++ {
 		var b float32
 		if s.bias != nil {
@@ -123,13 +127,21 @@ func (s *convStage) step(sc *Scratch, in *act) *act {
 	return out
 }
 
-// convScatterEvents accumulates every (event × synapse) contribution of one
-// timestep into the output buffer — the inner walk of the float conv stage.
-// Returns the accumulate count (SynOps).
-func convScatterEvents(out []float32, events []Event, perChannel [][]convEntry,
-	h, w, oh, ow, p, stride, pad int) int64 {
+// convScatter is the synapse walk of every conv stage: it accumulates each
+// (event × synapse) contribution of one timestep into out and returns the
+// accumulate count (SynOps). An event contributes W(ev.Val·inv) to each of
+// its synapses. inv is 1 on the float stages, where the contribution is
+// the event value itself, and on spike-fed integer stages, where it is the
+// spike's 1. On a grid-fed integer stage inv is 1/scale, which recovers the
+// event's integer level exactly. Events are visited in list order and each
+// event's synapses in table order, so every output receives its terms in
+// dense (ci, ki, kj) order.
+func convScatter[W weight](out []W, events []Event, perChannel [][]convEntry[W], inv float32,
+	h, w, oh, ow, stride, pad int) int64 {
+	p := oh * ow
 	var ops int64
 	for _, ev := range events {
+		v := W(ev.Val * inv)
 		idx := int(ev.Idx)
 		ci := idx / (h * w)
 		rem := idx % (h * w)
@@ -146,7 +158,7 @@ func convScatterEvents(out []float32, events []Event, perChannel [][]convEntry,
 			if oy >= oh || ox >= ow {
 				continue
 			}
-			out[int(en.f)*p+oy*ow+ox] += en.w * ev.Val
+			out[int(en.f)*p+oy*ow+ox] += en.w * v
 			ops++
 		}
 	}
@@ -155,15 +167,29 @@ func convScatterEvents(out []float32, events []Event, perChannel [][]convEntry,
 
 // linearEntry is one active synapse of an event-driven linear layer,
 // grouped by presynaptic index.
-type linearEntry struct {
+type linearEntry[W weight] struct {
 	out int32
-	w   float32
+	w   W
+}
+
+// linearScatter is convScatter for the linear stages: each event adds
+// W(ev.Val·inv)·w into every output its input index reaches.
+func linearScatter[W weight](out []W, events []Event, perInput [][]linearEntry[W], inv float32) int64 {
+	var ops int64
+	for _, ev := range events {
+		v := W(ev.Val * inv)
+		for _, en := range perInput[ev.Idx] {
+			out[en.out] += en.w * v
+			ops++
+		}
+	}
+	return ops
 }
 
 // linearStage is an event-driven fully-connected layer with folded BN.
 type linearStage struct {
 	in, out        int
-	perInput       [][]linearEntry
+	perInput       [][]linearEntry[float32]
 	bias           []float32
 	scale, shift   []float32
 	activeSynapses int64
@@ -171,12 +197,12 @@ type linearStage struct {
 }
 
 func newLinearStage(l *layers.Linear, bn *layers.BatchNorm, c *compiler) *linearStage {
-	s := &linearStage{in: l.In, out: l.Out, perInput: make([][]linearEntry, l.In), slot: c.actSlot()}
+	s := &linearStage{in: l.In, out: l.Out, perInput: make([][]linearEntry[float32], l.In), slot: c.actSlot()}
 	for o := 0; o < l.Out; o++ {
 		for i := 0; i < l.In; i++ {
 			v := l.Weight.W.Data[o*l.In+i]
 			if v != 0 {
-				s.perInput[i] = append(s.perInput[i], linearEntry{int32(o), v})
+				s.perInput[i] = append(s.perInput[i], linearEntry[float32]{int32(o), v})
 				s.activeSynapses++
 			}
 		}
@@ -194,14 +220,7 @@ func (s *linearStage) denseMACs() int64 { return int64(s.in) * int64(s.out) }
 
 func (s *linearStage) step(sc *Scratch, in *act) *act {
 	out := sc.actBuf1(s.slot, s.out)
-	var ops int64
-	for _, ev := range in.events {
-		for _, en := range s.perInput[ev.Idx] {
-			out.data[en.out] += en.w * ev.Val
-			ops++
-		}
-	}
-	sc.synOps += ops
+	sc.synOps += linearScatter(out.data, in.events, s.perInput, 1)
 	for o := range out.data {
 		var b float32
 		if s.bias != nil {
@@ -377,6 +396,11 @@ type residualStage struct {
 	shortcut []stage
 	out      *lifStage
 	sumSlot  int
+}
+
+// denseMACs sums the bound over both paths' conv stages.
+func (s *residualStage) denseMACs() int64 {
+	return denseMACs(s.main) + denseMACs(s.shortcut)
 }
 
 func (s *residualStage) step(sc *Scratch, in *act) *act {

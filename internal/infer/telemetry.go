@@ -200,51 +200,22 @@ func (e *Engine) endPass(sc *Scratch, t0 time.Time, kind string, batch int, pt *
 	}
 }
 
-// stepStages advances stages [lo, hi) one timestep for a single-sample
-// pass. The telemetry-off path is the exact pre-telemetry loop.
-func (e *Engine) stepStages(sc *Scratch, cur *act, lo, hi int) *act {
-	t := e.tel
-	if t == nil {
-		for _, s := range e.stages[lo:hi] {
-			cur = s.step(sc, cur)
-		}
-		return cur
-	}
-	if sc.timed {
-		for i := lo; i < hi; i++ {
-			prevOps := sc.synOps
-			pprof.SetGoroutineLabels(t.labels[i])
-			start := time.Now()
-			cur = e.stages[i].step(sc, cur)
-			sc.stageNS[i] += time.Since(start).Nanoseconds()
-			sc.stageOps[i] += sc.synOps - prevOps
-		}
-		pprof.SetGoroutineLabels(t.base)
-		return cur
-	}
-	for i := lo; i < hi; i++ {
-		prevOps := sc.synOps
-		cur = e.stages[i].step(sc, cur)
-		sc.stageOps[i] += sc.synOps - prevOps
-	}
-	return cur
-}
-
-// stepStagesBatch advances stages [lo, hi) one timestep for a coalesced
-// pass, stage-major, replacing each cur[i] with sample i's output. With
-// telemetry on, the batch's telemetry accumulates on sc0: per-stage SynOps
-// summed over samples always, per-stage wall-clock around the stage-major
-// inner loop when the pass is traced.
-func (e *Engine) stepStagesBatch(scs []*Scratch, cur []*act, sc0 *Scratch, lo, hi int) {
+// stepStages advances stages [lo, hi) one timestep, stage-major: each
+// stage steps every arena's current activation (sc.cur) before the next
+// stage runs. The telemetry-off path is the exact pre-telemetry loop. With
+// telemetry on, per-stage SynOps summed over the arenas accumulate on the
+// first, and on traced passes so does the wall-clock of each stage's loop.
+func (e *Engine) stepStages(scs []*Scratch, lo, hi int) {
 	t := e.tel
 	if t == nil {
 		for _, st := range e.stages[lo:hi] {
-			for i := range scs {
-				cur[i] = st.step(scs[i], cur[i])
+			for _, sc := range scs {
+				sc.cur = st.step(sc, sc.cur)
 			}
 		}
 		return
 	}
+	sc0 := scs[0]
 	for si := lo; si < hi; si++ {
 		st := e.stages[si]
 		var start time.Time
@@ -252,10 +223,10 @@ func (e *Engine) stepStagesBatch(scs []*Scratch, cur []*act, sc0 *Scratch, lo, h
 			pprof.SetGoroutineLabels(t.labels[si])
 			start = time.Now()
 		}
-		for i := range scs {
-			prevOps := scs[i].synOps
-			cur[i] = st.step(scs[i], cur[i])
-			sc0.stageOps[si] += scs[i].synOps - prevOps
+		for _, sc := range scs {
+			prevOps := sc.synOps
+			sc.cur = st.step(sc, sc.cur)
+			sc0.stageOps[si] += sc.synOps - prevOps
 		}
 		if sc0.timed {
 			sc0.stageNS[si] += time.Since(start).Nanoseconds()

@@ -17,8 +17,7 @@ import (
 //
 //   - Bits ≤ 8: one int8 level per stored synapse (Q). At exactly 4 bits the
 //     deployment layout additionally packs two levels per byte (Packed),
-//     which is what the integer linear kernels compute from and what the
-//     memory accounting reports.
+//     which is what the memory accounting reports.
 //   - Bits 9–16: one int16 level per synapse (Q16).
 //
 // Scales are powers of two (Po2Scale), per output channel by default, so
@@ -194,66 +193,6 @@ func (q *QCSR) MemoryBits(idxBits int) int64 {
 		int64(q.NNZ())*int64(idxBits) +
 		int64(q.Rows+1)*int64(idxBits) +
 		int64(len(q.Scales))*32
-}
-
-// CSCInt8 transposes the quantized matrix into the column-compressed
-// integer form the event-driven linear kernels consume (incoming spikes
-// select weight columns). Levels that quantized to exactly zero are dropped
-// — they are dead synapses, and skipping them is where the measured SynOps
-// reduction of quantization comes from. Requires Bits ≤ 8.
-func (q *QCSR) CSCInt8() *sparse.CSCInt8 {
-	if q.Q == nil {
-		panic(fmt.Sprintf("quant: CSCInt8 requires ≤8-bit levels (have %d)", q.Bits))
-	}
-	nnz := 0
-	for _, l := range q.Q {
-		if l != 0 {
-			nnz++
-		}
-	}
-	t := &sparse.CSCInt8{
-		Rows: q.Rows, Cols: q.Cols,
-		ColPtr: make([]int32, q.Cols+1),
-		RowIdx: make([]int32, nnz),
-		Q:      make([]int8, nnz),
-	}
-	for p, j := range q.ColIdx {
-		if q.Q[p] != 0 {
-			t.ColPtr[j+1]++
-		}
-	}
-	for j := 0; j < q.Cols; j++ {
-		t.ColPtr[j+1] += t.ColPtr[j]
-	}
-	next := make([]int32, q.Cols)
-	copy(next, t.ColPtr[:q.Cols])
-	for r := 0; r < q.Rows; r++ {
-		for p := q.RowPtr[r]; p < q.RowPtr[r+1]; p++ {
-			if q.Q[p] == 0 {
-				continue
-			}
-			j := q.ColIdx[p]
-			t.RowIdx[next[j]] = int32(r)
-			t.Q[next[j]] = q.Q[p]
-			next[j]++
-		}
-	}
-	return t
-}
-
-// CSCInt4 is CSCInt8 with the values re-packed two-per-byte — the HICANN
-// deployment form, computed from directly by the packed int4 kernel.
-// Requires Bits == 4.
-func (q *QCSR) CSCInt4() *sparse.CSCInt4 {
-	if q.Bits != 4 {
-		panic(fmt.Sprintf("quant: CSCInt4 requires 4-bit levels (have %d)", q.Bits))
-	}
-	c8 := q.CSCInt8()
-	return &sparse.CSCInt4{
-		Rows: c8.Rows, Cols: c8.Cols,
-		ColPtr: c8.ColPtr, RowIdx: c8.RowIdx,
-		Packed: PackInt4(c8.Q),
-	}
 }
 
 // PackInt4 packs signed 4-bit levels (each in [-7,7]) two per byte: entry 2i

@@ -154,43 +154,6 @@ func TestPerChannelScalesTighterThanPerTensor(t *testing.T) {
 	}
 }
 
-func TestQCSRCSCFormsDropZeroLevels(t *testing.T) {
-	r := rng.New(17)
-	c := randomCSR(12, 20, 0.4, r)
-	q, err := QuantizeCSR(c, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonzero := 0
-	for p := 0; p < q.NNZ(); p++ {
-		if q.Level(p) != 0 {
-			nonzero++
-		}
-	}
-	c8 := q.CSCInt8()
-	c4 := q.CSCInt4()
-	if c8.NNZ() != nonzero || c4.NNZ() != nonzero {
-		t.Fatalf("CSC forms store %d/%d synapses, want %d live levels", c8.NNZ(), c4.NNZ(), nonzero)
-	}
-	// Both forms must agree entry-wise with a dense reconstruction.
-	dq := q.Dequantize().Decode()
-	dense8 := tensor.New(q.Rows, q.Cols)
-	for col := 0; col < q.Cols; col++ {
-		for p := c8.ColPtr[col]; p < c8.ColPtr[col+1]; p++ {
-			row := int(c8.RowIdx[p])
-			dense8.Data[row*q.Cols+col] = float32(c8.Q[p]) * q.RowScale(row)
-			if int32(c8.Q[p]) != c4.Level(p) {
-				t.Fatalf("int4 nibble %d decodes to %d, want %d", p, c4.Level(p), c8.Q[p])
-			}
-		}
-	}
-	for i := range dq.Data {
-		if dq.Data[i] != dense8.Data[i] {
-			t.Fatalf("CSC reconstruction mismatch at %d: %v vs %v", i, dense8.Data[i], dq.Data[i])
-		}
-	}
-}
-
 func TestQCSRMemoryAccounting(t *testing.T) {
 	r := rng.New(19)
 	c := randomCSR(8, 16, 0.6, r)
