@@ -23,7 +23,7 @@ type Conv2d struct {
 	Bias   *Param
 
 	// xs is the layer's BPTT tape: per-timestep inputs, event-encoded when
-	// they are binary spike tensors (see package tape). Backward replays it.
+	// they are binary spike tensors (see package tape). BackwardSeq replays it.
 	xs     tape.Stack
 	events eventTally
 }
@@ -46,25 +46,6 @@ func NewConv2d(name string, inC, outC, k, stride, pad int, withBias bool, r *rng
 	return l
 }
 
-// convScratch bundles the per-worker buffers of the im2col/GEMM loop.
-type convScratch struct {
-	col     []float32
-	colT    *tensor.Tensor
-	rowPtr  []int32
-	evIdx   []int32
-	colSeen []bool
-}
-
-func newConvScratch(ckk, p int, withEvents bool) *convScratch {
-	s := &convScratch{col: make([]float32, ckk*p)}
-	s.colT = tensor.FromSlice(s.col, ckk, p)
-	if withEvents {
-		s.rowPtr = make([]int32, ckk+1)
-		s.colSeen = make([]bool, p)
-	}
-	return s
-}
-
 func (l *Conv2d) geometry(x *tensor.Tensor) (b, c, h, w, oh, ow, p, ckk int) {
 	b, c, h, w = x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if c != l.InC {
@@ -75,46 +56,6 @@ func (l *Conv2d) geometry(x *tensor.Tensor) (b, c, h, w, oh, ow, p, ckk int) {
 	p = oh * ow
 	ckk = c * l.K * l.K
 	return
-}
-
-// forwardSample runs one sample-timestep's GEMM into yb (shape [OutC, p]),
-// choosing between the event-driven, weight-only CSR and dense paths exactly
-// as documented on Forward, and adds the bias.
-func (l *Conv2d) forwardSample(yb *tensor.Tensor, src []float32, c, h, w, oh, ow int,
-	wmat *tensor.Tensor, wcsr *sparse.CSR, wcsc *sparse.CSC, s *convScratch,
-	tally *metrics.EventStats, maxRate float64) {
-	p := oh * ow
-	ckk := c * l.K * l.K
-	tally.Forwards++
-	eventDone := false
-	if wcsr != nil {
-		var binary bool
-		s.evIdx, binary = tensor.Im2ColEvents(s.col, src, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, s.rowPtr, s.evIdx[:0])
-		if binary {
-			ev := sparse.Events{Rows: ckk, Cols: p, RowPtr: s.rowPtr, ColIdx: s.evIdx}
-			tally.Entries += int64(ckk * p)
-			tally.ActiveEntries += int64(ev.NNZ())
-			tally.Cols += int64(p)
-			tally.ActiveCols += countActiveCols(s.evIdx, s.colSeen)
-			// maxRate > 0 keeps the documented kill switch honest: at 0, even
-			// all-zero (occupancy 0) inputs stay on the weight-only path.
-			if maxRate > 0 && ev.Occupancy() <= maxRate {
-				sparse.CSCMatMulEventsSerialInto(yb, wcsc, &ev, false)
-				tally.EventForwards++
-				eventDone = true
-			}
-		}
-	} else {
-		tensor.Im2Col(s.col, src, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
-	}
-	if !eventDone {
-		if wcsr != nil {
-			sparse.CSRMatMulSerialInto(yb, wcsr, s.colT, false)
-		} else {
-			tensor.MatMulSerialInto(yb, wmat, s.colT, false)
-		}
-	}
-	l.addBias(yb, p)
 }
 
 func (l *Conv2d) addBias(yb *tensor.Tensor, p int) {
@@ -130,69 +71,30 @@ func (l *Conv2d) addBias(yb *tensor.Tensor, p int) {
 	}
 }
 
-// Forward computes one timestep of the convolution.
-//
-// When the weight is CSR-encoded and the input turns out to be a binary
-// spike tensor (detected while building the im2col expansion), the forward
-// takes the dual-sparse event-driven kernel: work scales with
-// weightDensity × spikeOccupancy instead of weightDensity alone. Inputs
-// whose occupancy exceeds EventMaxRate, or that contain analog values (the
-// first layer under direct encoding, or post-BatchNorm currents), fall back
-// to the weight-only CSR or dense GEMM path. All three paths produce
-// bit-identical outputs.
-//
-// During training the input is recorded on the layer's tape — event-encoded
-// when binary — and Backward replays it.
+// Forward computes one timestep of the convolution: the T=1 case of
+// ForwardSeq.
 func (l *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	b, c, h, w, oh, ow, p, ckk := l.geometry(x)
-	out := tensor.New(b, l.OutC, oh, ow)
-	wmat := l.Weight.W.Reshape(l.OutC, ckk)
-	wcsr := l.Weight.SparseW()
-	var wcsc *sparse.CSC
-	if wcsr != nil {
-		// The event kernel wants column-compressed weights (spikes select
-		// weight columns); gathered once here, shared read-only by workers.
-		wcsc = l.Weight.SparseWCSC()
-	}
-	maxRate := EventMaxRate
-	tensor.ParallelFor(b, l.OutC*ckk*p, func(lo, hi int) {
-		s := newConvScratch(ckk, p, wcsr != nil)
-		var tally metrics.EventStats
-		for bi := lo; bi < hi; bi++ {
-			src := x.Data[bi*c*h*w : (bi+1)*c*h*w]
-			yb := tensor.FromSlice(out.Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
-			l.forwardSample(yb, src, c, h, w, oh, ow, wmat, wcsr, wcsc, s, &tally, maxRate)
-		}
-		l.events.add(tally)
-	})
-	if train {
-		l.xs.Push(x)
-	}
-	return out
+	return l.ForwardSeq([]*tensor.Tensor{x}, train)[0]
 }
 
-// ForwardSeq is the time-major fast path: it processes all T timesteps of a
-// batch in one call. When the weight is CSR-encoded and a sample's inputs
-// are binary across every timestep (with fused occupancy at most
-// EventMaxRate), the T event patterns are merged with sparse.FuseTimesteps
-// and a single CSCMatMulEventsSerialInto computes all T products in one
-// traversal of the weight matrix — the batched-timestep GEMM, end-to-end.
-// Samples with analog or high-occupancy timesteps fall back to the same
-// per-timestep decisions Forward makes. Outputs are bit-identical to T
-// Forward calls, and the tape records the same per-timestep entries.
+// ForwardSeq computes all T timesteps of a batch in one call, one sample at a
+// time across the worker pool. When the weight is CSR-encoded and a sample's
+// input is binary at every timestep with fused im2col occupancy at most
+// EventMaxRate, its T event patterns are built straight from the spike
+// positions, merged with sparse.FuseTimesteps, and one
+// CSCMatMulEventsSerialInto computes all T products in a single traversal of
+// the weight matrix: work scales with weightDensity × spikeOccupancy. Any
+// other sample (analog input such as the first layer under direct encoding
+// or post-BatchNorm currents, a hot sample, or a dense weight) runs im2col and
+// the weight-only CSR or dense GEMM per timestep. Both paths produce
+// bit-identical outputs.
+//
+// During training every timestep's input is recorded on the layer's tape —
+// event-encoded when binary — and BackwardSeq replays it.
 func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 	T := len(xs)
 	if T == 0 {
 		return nil
-	}
-	wcsr := l.Weight.SparseW()
-	if wcsr == nil || T == 1 {
-		// No fusion opportunity: drive the per-timestep path.
-		outs := make([]*tensor.Tensor, T)
-		for t, x := range xs {
-			outs[t] = l.Forward(x, train)
-		}
-		return outs
 	}
 	b, c, h, w, oh, ow, p, ckk := l.geometry(xs[0])
 	for _, x := range xs[1:] {
@@ -201,7 +103,13 @@ func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 		}
 	}
 	wmat := l.Weight.W.Reshape(l.OutC, ckk)
-	wcsc := l.Weight.SparseWCSC()
+	wcsr := l.Weight.SparseW()
+	var wcsc *sparse.CSC
+	if wcsr != nil {
+		// The event kernel wants column-compressed weights (spikes select
+		// weight columns); gathered once here, shared read-only by workers.
+		wcsc = l.Weight.SparseWCSC()
+	}
 	outs := make([]*tensor.Tensor, T)
 	for t := range outs {
 		outs[t] = tensor.New(b, l.OutC, oh, ow)
@@ -209,72 +117,80 @@ func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 	maxRate := EventMaxRate
 	chw := c * h * w
 	tensor.ParallelFor(b, T*l.OutC*ckk*p, func(lo, hi int) {
-		s := newConvScratch(ckk, p, true)
+		col := make([]float32, ckk*p)
+		colT := tensor.FromSlice(col, ckk, p)
 		// Per-timestep pattern buffers, reused across samples; the fused call
 		// needs all T patterns alive at once.
 		rowPtrs := make([][]int32, T)
 		evIdxs := make([][]int32, T)
 		evs := make([]*sparse.Events, T)
-		for t := range rowPtrs {
-			rowPtrs[t] = make([]int32, ckk+1)
-		}
 		var flat []int32
-		ybuf := tensor.New(l.OutC, T*p)
+		var ybuf *tensor.Tensor
+		if wcsr != nil {
+			for t := range rowPtrs {
+				rowPtrs[t] = make([]int32, ckk+1)
+			}
+			ybuf = tensor.New(l.OutC, T*p)
+		}
 		var tally metrics.EventStats
 		for bi := lo; bi < hi; bi++ {
-			// Pass 1: extract every timestep's event pattern straight from
-			// the input (O(chw + K²·nnz) — the fused kernel never reads a
-			// dense column matrix); abandon fusion on the first analog
-			// timestep.
-			fusable := true
-			totalNNZ := 0
-			for t := 0; t < T; t++ {
-				src := xs[t].Data[bi*chw : (bi+1)*chw]
-				flat = flat[:0]
-				for i, v := range src {
-					if v == 0 {
-						continue
-					}
-					if v != 1 {
-						fusable = false
-						break
-					}
-					flat = append(flat, int32(i))
-				}
-				if !fusable {
-					break
-				}
-				evIdxs[t] = tensor.Im2ColPatternFromEvents(flat, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, rowPtrs[t], evIdxs[t][:0])
-				evs[t] = &sparse.Events{Rows: ckk, Cols: p, RowPtr: rowPtrs[t], ColIdx: evIdxs[t]}
-				totalNNZ += evs[t].NNZ()
-			}
-			occ := float64(totalNNZ) / float64(T*ckk*p)
-			if fusable && maxRate > 0 && occ <= maxRate {
-				for t := 0; t < T; t++ {
-					tally.Forwards++
-					tally.EventForwards++
-					tally.Entries += int64(ckk * p)
-					tally.ActiveEntries += int64(evs[t].NNZ())
-					tally.Cols += int64(p)
-					tally.ActiveCols += countActiveCols(evIdxs[t], s.colSeen)
-				}
-				sparse.CSCMatMulEventsSerialInto(ybuf, wcsc, sparse.FuseTimesteps(evs), false)
-				// Timestep t's output is ybuf[:, t·p:(t+1)·p].
-				for t := 0; t < T; t++ {
-					yb := tensor.FromSlice(outs[t].Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
-					for f := 0; f < l.OutC; f++ {
-						copy(yb.Data[f*p:(f+1)*p], ybuf.Data[f*T*p+t*p:f*T*p+(t+1)*p])
-					}
-					l.addBias(yb, p)
-				}
-			} else {
-				// Mixed or high-occupancy sample: per-timestep decisions,
-				// identical to Forward (which re-tallies from scratch).
+			tally.Forwards += int64(T)
+			if wcsr != nil {
+				// Extract every binary timestep's event pattern straight from
+				// the input (O(chw + K²·nnz) — the fused kernel never reads a
+				// dense column matrix); an analog timestep rules out fusion.
+				fusable := true
+				totalNNZ := 0
 				for t := 0; t < T; t++ {
 					src := xs[t].Data[bi*chw : (bi+1)*chw]
-					yb := tensor.FromSlice(outs[t].Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
-					l.forwardSample(yb, src, c, h, w, oh, ow, wmat, wcsr, wcsc, s, &tally, maxRate)
+					flat = flat[:0]
+					binary := true
+					for i, v := range src {
+						if v == 0 {
+							continue
+						}
+						if v != 1 {
+							binary = false
+							break
+						}
+						flat = append(flat, int32(i))
+					}
+					if !binary {
+						fusable = false
+						continue
+					}
+					evIdxs[t] = tensor.Im2ColPatternFromEvents(flat, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, rowPtrs[t], evIdxs[t][:0])
+					evs[t] = &sparse.Events{Rows: ckk, Cols: p, RowPtr: rowPtrs[t], ColIdx: evIdxs[t]}
+					totalNNZ += evs[t].NNZ()
+					tally.Entries += int64(ckk * p)
+					tally.ActiveEntries += int64(evs[t].NNZ())
 				}
+				occ := float64(totalNNZ) / float64(T*ckk*p)
+				// maxRate > 0 keeps the documented kill switch honest: at 0, even
+				// all-zero (occupancy 0) inputs stay on the weight-only path.
+				if fusable && maxRate > 0 && occ <= maxRate {
+					tally.EventForwards += int64(T)
+					sparse.CSCMatMulEventsSerialInto(ybuf, wcsc, sparse.FuseTimesteps(evs), false)
+					// Timestep t's output is ybuf[:, t·p:(t+1)·p].
+					for t := 0; t < T; t++ {
+						yb := tensor.FromSlice(outs[t].Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
+						for f := 0; f < l.OutC; f++ {
+							copy(yb.Data[f*p:(f+1)*p], ybuf.Data[f*T*p+t*p:f*T*p+(t+1)*p])
+						}
+						l.addBias(yb, p)
+					}
+					continue
+				}
+			}
+			for t := 0; t < T; t++ {
+				yb := tensor.FromSlice(outs[t].Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
+				tensor.Im2Col(col, xs[t].Data[bi*chw:(bi+1)*chw], c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
+				if wcsr != nil {
+					sparse.CSRMatMulSerialInto(yb, wcsr, colT, false)
+				} else {
+					tensor.MatMulSerialInto(yb, wmat, colT, false)
+				}
+				l.addBias(yb, p)
 			}
 		}
 		l.events.add(tally)
@@ -285,22 +201,6 @@ func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 		}
 	}
 	return outs
-}
-
-// countActiveCols counts the distinct column indices in evIdx, using seen as
-// scratch (reset on entry; must cover every index in evIdx).
-func countActiveCols(evIdx []int32, seen []bool) int64 {
-	for j := range seen {
-		seen[j] = false
-	}
-	var n int64
-	for _, j := range evIdx {
-		if !seen[j] {
-			seen[j] = true
-			n++
-		}
-	}
-	return n
 }
 
 // EventStats returns the event-driven fast-path counters accumulated since
@@ -401,182 +301,145 @@ func addInto(dst, src []float32) {
 	}
 }
 
-// Backward computes input gradients and accumulates weight/bias gradients
-// for the most recent cached timestep, replaying the tape: an event-encoded
-// record rebuilds the im2col event pattern straight from the recorded
-// spikes, and when active-position-only gradients are allowed the weight
-// gradient consumes the pattern directly (CSRGradABTEventsSerial), skipping
-// zero-spike rows — backward-weight work then scales with
-// weightDensity × spikeOccupancy like the forward pass.
+// Backward computes the input gradient and accumulates the weight and bias
+// gradients of the most recent recorded timestep: the T=1 case of
+// BackwardSeq.
 func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	rec := l.xs.Pop()
-	shape := rec.Shape()
-	b, c, h, w := shape[0], shape[1], shape[2], shape[3]
-	oh, ow := dy.Dim(2), dy.Dim(3)
-	p := oh * ow
-	ckk := c * l.K * l.K
-	chw := c * h * w
-	dx := tensor.New(b, c, h, w)
-	wmat := l.Weight.W.Reshape(l.OutC, ckk)
+	return l.BackwardSeq([]*tensor.Tensor{dy})[0]
+}
+
+// BackwardSeq replays the tape for the last T recorded timesteps, given their
+// output gradients dys[0..T-1]: it accumulates the weight and bias gradients
+// and returns the input gradient of every timestep.
+//
+// When the weight is CSR, active-position-only gradients are armed and every
+// record is event-encoded, the T im2col event patterns are rebuilt straight
+// from the recorded spikes, merged by FuseTimesteps, and consumed by ONE
+// events SDDMM against the column-concatenated dy; backward-data likewise
+// pays a single weight traversal for all T timesteps. Backward-weight work
+// then scales with weightDensity × spikeOccupancy like the forward pass.
+// Otherwise the timesteps replay newest first, each through its own batch
+// reduction: im2col over the decoded or dense record, then the
+// active-position CSR SDDMM or the dense dy·colᵀ GEMM. Input gradients are
+// identical on both paths; the fused one accumulates weight and bias
+// gradients over the timesteps in ascending instead of descending order
+// (float rounding only).
+func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
+	T := len(dys)
+	if T == 0 {
+		return nil
+	}
+	recs := make([]tape.Rec, T)
+	for t := T - 1; t >= 0; t-- {
+		recs[t] = l.xs.Pop()
+	}
 	wcsr := l.Weight.SparseW()
-	xDense := rec.Dense()
-	xEv := rec.Events()
 	// dX always rides the CSR path when available; dW does so only when the
 	// trainer has declared active-position-only gradients acceptable.
 	sparseGrad := wcsr != nil && l.Weight.SparseGradOK
-
-	l.parallelGrad(b, ckk, wcsr, sparseGrad, func() sampleGrad {
-		col := make([]float32, ckk*p)
-		colT := tensor.FromSlice(col, ckk, p)
-		dcol := make([]float32, ckk*p)
-		dcolT := tensor.FromSlice(dcol, ckk, p)
-		var xbuf []float32
-		var rowPtr, evIdx []int32
-		if xEv != nil {
-			rowPtr = make([]int32, ckk+1)
-			if !sparseGrad {
-				xbuf = make([]float32, chw)
-			}
-		}
-		return func(bi int, dwLocal *tensor.Tensor, valLocal, dbLocal []float32) {
-			var ev *sparse.Events
-			if xEv != nil && sparseGrad {
-				// Replay: rebuild this sample's im2col event pattern straight
-				// from the recorded input-space events — O(K²·nnz), no dense
-				// expansion; the events SDDMM below never reads the column
-				// matrix.
-				flat := xEv.ColIdx[xEv.RowPtr[bi]:xEv.RowPtr[bi+1]]
-				evIdx = tensor.Im2ColPatternFromEvents(flat, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, rowPtr, evIdx[:0])
-				ev = &sparse.Events{Rows: ckk, Cols: p, RowPtr: rowPtr, ColIdx: evIdx}
-			} else if xEv != nil {
-				// Dense weight gradients need the full column matrix: decode
-				// the sample's spikes, expand, erase in O(nnz).
-				xEv.ScatterRowInto(bi, xbuf, 1)
-				tensor.Im2Col(col, xbuf, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
-				xEv.ScatterRowInto(bi, xbuf, 0)
-			} else {
-				tensor.Im2Col(col, xDense.Data[bi*chw:(bi+1)*chw], c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
-			}
-			dyb := tensor.FromSlice(dy.Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
-			if sparseGrad {
-				if ev != nil {
-					sparse.CSRGradABTEventsSerial(valLocal, wcsr, dyb, ev)
-				} else {
-					sparse.CSRGradABTSerial(valLocal, wcsr, dyb, colT)
-				}
-			} else {
-				tensor.MatMulABTSerialInto(dwLocal, dyb, colT, true)
-			}
-			if wcsr != nil {
-				sparse.CSRMatMulATBSerialInto(dcolT, wcsr, dyb, false)
-			} else {
-				tensor.MatMulATBSerialInto(dcolT, wmat, dyb, false)
-			}
-			tensor.Col2Im(dx.Data[bi*chw:(bi+1)*chw], dcol, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
-			if dbLocal != nil {
-				for f := 0; f < l.OutC; f++ {
-					var s float32
-					for _, v := range dyb.Data[f*p : (f+1)*p] {
-						s += v
-					}
-					dbLocal[f] += s
-				}
-			}
-		}
-	})
-	return dx
-}
-
-// BackwardSeq consumes all T timestep gradients at once — the time-major
-// backward replay. When every recorded timestep is event-encoded, the weight
-// is CSR and active-position-only gradients are armed, the T im2col event
-// patterns are rebuilt straight from the tape, merged by FuseTimesteps, and
-// consumed by ONE events SDDMM against the column-concatenated dy — and
-// backward-data likewise pays a single weight traversal for all T timesteps.
-// The per-position pattern overhead and the CSR index loads amortize by T,
-// which is where the tape's backward speedup lives. Anything else falls back
-// to T Backward calls in reverse order. Input gradients are bit-identical to
-// the step-major replay; weight/bias gradients accumulate the timesteps in
-// ascending instead of descending order (float rounding only).
-func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
-	T := len(dys)
-	wcsr := l.Weight.SparseW()
-	fused := T > 1 && wcsr != nil && l.Weight.SparseGradOK && l.xs.Len() >= T
-	if fused {
-		for i := 0; i < T; i++ {
-			if !l.xs.Peek(i).IsEvents() {
-				fused = false
-				break
-			}
-		}
+	fused := sparseGrad
+	for _, rec := range recs {
+		fused = fused && rec.IsEvents()
 	}
-	if !fused {
-		dxs := make([]*tensor.Tensor, T)
-		for t := T - 1; t >= 0; t-- {
-			dxs[t] = l.Backward(dys[t])
-		}
-		return dxs
-	}
-	recs := make([]*sparse.Events, T)
-	var shape []int
-	for t := T - 1; t >= 0; t-- {
-		rec := l.xs.Pop()
-		recs[t] = rec.Events()
-		shape = rec.Shape()
-	}
+	shape := recs[0].Shape()
 	b, c, h, w := shape[0], shape[1], shape[2], shape[3]
 	oh, ow := dys[0].Dim(2), dys[0].Dim(3)
 	p := oh * ow
 	ckk := c * l.K * l.K
 	chw := c * h * w
+	wmat := l.Weight.W.Reshape(l.OutC, ckk)
 	dxs := make([]*tensor.Tensor, T)
 	for t := range dxs {
 		dxs[t] = tensor.New(b, c, h, w)
 	}
 
-	l.parallelGrad(b, ckk, wcsr, true, func() sampleGrad {
-		rowPtrs := make([][]int32, T)
-		evIdxs := make([][]int32, T)
-		evs := make([]*sparse.Events, T)
-		for t := range rowPtrs {
-			rowPtrs[t] = make([]int32, ckk+1)
-		}
-		dyF := tensor.New(l.OutC, T*p)
-		dcolF := tensor.New(ckk, T*p)
-		dcol := make([]float32, ckk*p)
-		return func(bi int, _ *tensor.Tensor, valLocal, dbLocal []float32) {
-			for t := 0; t < T; t++ {
-				flat := recs[t].ColIdx[recs[t].RowPtr[bi]:recs[t].RowPtr[bi+1]]
-				evIdxs[t] = tensor.Im2ColPatternFromEvents(flat, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, rowPtrs[t], evIdxs[t][:0])
-				evs[t] = &sparse.Events{Rows: ckk, Cols: p, RowPtr: rowPtrs[t], ColIdx: evIdxs[t]}
-				// Column-concatenate the timestep gradients: dyF[f] holds
-				// [t0 | t1 | …], matching the fused pattern's layout.
-				src := dys[t].Data[bi*l.OutC*p : (bi+1)*l.OutC*p]
-				for f := 0; f < l.OutC; f++ {
-					copy(dyF.Data[f*T*p+t*p:f*T*p+(t+1)*p], src[f*p:(f+1)*p])
-				}
+	if fused {
+		l.parallelGrad(b, ckk, wcsr, true, func() sampleGrad {
+			rowPtrs := make([][]int32, T)
+			evIdxs := make([][]int32, T)
+			evs := make([]*sparse.Events, T)
+			for t := range rowPtrs {
+				rowPtrs[t] = make([]int32, ckk+1)
 			}
-			evF := sparse.FuseTimesteps(evs)
-			sparse.CSRGradABTEventsSerial(valLocal, wcsr, dyF, evF)
-			sparse.CSRMatMulATBSerialInto(dcolF, wcsr, dyF, false)
-			for t := 0; t < T; t++ {
-				for cc := 0; cc < ckk; cc++ {
-					copy(dcol[cc*p:(cc+1)*p], dcolF.Data[cc*T*p+t*p:cc*T*p+(t+1)*p])
-				}
-				tensor.Col2Im(dxs[t].Data[bi*chw:(bi+1)*chw], dcol, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
-			}
-			if dbLocal != nil {
-				for f := 0; f < l.OutC; f++ {
-					var s float32
-					for _, v := range dyF.Data[f*T*p : (f+1)*T*p] {
-						s += v
+			dyF := tensor.New(l.OutC, T*p)
+			dcolF := tensor.New(ckk, T*p)
+			dcol := make([]float32, ckk*p)
+			return func(bi int, _ *tensor.Tensor, valLocal, dbLocal []float32) {
+				for t := 0; t < T; t++ {
+					xEv := recs[t].Events()
+					flat := xEv.ColIdx[xEv.RowPtr[bi]:xEv.RowPtr[bi+1]]
+					evIdxs[t] = tensor.Im2ColPatternFromEvents(flat, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, rowPtrs[t], evIdxs[t][:0])
+					evs[t] = &sparse.Events{Rows: ckk, Cols: p, RowPtr: rowPtrs[t], ColIdx: evIdxs[t]}
+					// Column-concatenate the timestep gradients: dyF[f] holds
+					// [t0 | t1 | …], matching the fused pattern's layout.
+					src := dys[t].Data[bi*l.OutC*p : (bi+1)*l.OutC*p]
+					for f := 0; f < l.OutC; f++ {
+						copy(dyF.Data[f*T*p+t*p:f*T*p+(t+1)*p], src[f*p:(f+1)*p])
 					}
-					dbLocal[f] += s
 				}
+				sparse.CSRGradABTEventsSerial(valLocal, wcsr, dyF, sparse.FuseTimesteps(evs))
+				sparse.CSRMatMulATBSerialInto(dcolF, wcsr, dyF, false)
+				for t := 0; t < T; t++ {
+					for cc := 0; cc < ckk; cc++ {
+						copy(dcol[cc*p:(cc+1)*p], dcolF.Data[cc*T*p+t*p:cc*T*p+(t+1)*p])
+					}
+					tensor.Col2Im(dxs[t].Data[bi*chw:(bi+1)*chw], dcol, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
+				}
+				addRowSums(dbLocal, dyF.Data, T*p)
 			}
-		}
-	})
+		})
+		return dxs
+	}
+
+	for t := T - 1; t >= 0; t-- {
+		xDense, xEv, dy, dx := recs[t].Dense(), recs[t].Events(), dys[t], dxs[t]
+		l.parallelGrad(b, ckk, wcsr, sparseGrad, func() sampleGrad {
+			col := make([]float32, ckk*p)
+			colT := tensor.FromSlice(col, ckk, p)
+			dcol := make([]float32, ckk*p)
+			dcolT := tensor.FromSlice(dcol, ckk, p)
+			var xbuf []float32
+			if xEv != nil {
+				xbuf = make([]float32, chw)
+			}
+			return func(bi int, dwLocal *tensor.Tensor, valLocal, dbLocal []float32) {
+				if xEv != nil {
+					// Decode the sample's spikes, expand, erase in O(nnz).
+					xEv.ScatterRowInto(bi, xbuf, 1)
+					tensor.Im2Col(col, xbuf, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
+					xEv.ScatterRowInto(bi, xbuf, 0)
+				} else {
+					tensor.Im2Col(col, xDense.Data[bi*chw:(bi+1)*chw], c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
+				}
+				dyb := tensor.FromSlice(dy.Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
+				if sparseGrad {
+					sparse.CSRGradABTSerial(valLocal, wcsr, dyb, colT)
+				} else {
+					tensor.MatMulABTSerialInto(dwLocal, dyb, colT, true)
+				}
+				if wcsr != nil {
+					sparse.CSRMatMulATBSerialInto(dcolT, wcsr, dyb, false)
+				} else {
+					tensor.MatMulATBSerialInto(dcolT, wmat, dyb, false)
+				}
+				tensor.Col2Im(dx.Data[bi*chw:(bi+1)*chw], dcol, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow)
+				addRowSums(dbLocal, dyb.Data, p)
+			}
+		})
+	}
 	return dxs
+}
+
+// addRowSums adds the sum of each n-wide row of dy into db[row]; a nil db
+// (a layer without bias) is a no-op.
+func addRowSums(db, dy []float32, n int) {
+	for f := range db {
+		var s float32
+		for _, v := range dy[f*n : (f+1)*n] {
+			s += v
+		}
+		db[f] += s
+	}
 }
 
 // Params returns the weight and optional bias.

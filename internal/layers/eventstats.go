@@ -11,8 +11,7 @@ import (
 // expose the counters through EventStats/ResetEventStats; internal/snn
 // aggregates them across a network so the efficiency accounting reflects
 // actually-skipped work rather than the analytic spikeRate × density model
-// alone. Linear layers have no im2col column structure and leave
-// Cols/ActiveCols zero.
+// alone.
 
 // EventRecorder is implemented by layers that maintain event-path counters.
 type EventRecorder interface {
@@ -27,7 +26,6 @@ type EventRecorder interface {
 type eventTally struct {
 	forwards, eventForwards int64
 	entries, activeEntries  int64
-	cols, activeCols        int64
 }
 
 func (t *eventTally) add(c metrics.EventStats) {
@@ -35,8 +33,6 @@ func (t *eventTally) add(c metrics.EventStats) {
 	atomic.AddInt64(&t.eventForwards, c.EventForwards)
 	atomic.AddInt64(&t.entries, c.Entries)
 	atomic.AddInt64(&t.activeEntries, c.ActiveEntries)
-	atomic.AddInt64(&t.cols, c.Cols)
-	atomic.AddInt64(&t.activeCols, c.ActiveCols)
 }
 
 func (t *eventTally) snapshot() metrics.EventStats {
@@ -45,8 +41,6 @@ func (t *eventTally) snapshot() metrics.EventStats {
 		EventForwards: atomic.LoadInt64(&t.eventForwards),
 		Entries:       atomic.LoadInt64(&t.entries),
 		ActiveEntries: atomic.LoadInt64(&t.activeEntries),
-		Cols:          atomic.LoadInt64(&t.cols),
-		ActiveCols:    atomic.LoadInt64(&t.activeCols),
 	}
 }
 
@@ -55,6 +49,4 @@ func (t *eventTally) reset() {
 	atomic.StoreInt64(&t.eventForwards, 0)
 	atomic.StoreInt64(&t.entries, 0)
 	atomic.StoreInt64(&t.activeEntries, 0)
-	atomic.StoreInt64(&t.cols, 0)
-	atomic.StoreInt64(&t.activeCols, 0)
 }

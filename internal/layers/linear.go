@@ -19,7 +19,7 @@ type Linear struct {
 	Bias   *Param
 
 	// xs is the layer's BPTT tape: per-timestep inputs, event-encoded when
-	// they are binary spike tensors (see package tape). Backward replays it.
+	// they are binary spike tensors (see package tape). BackwardSeq replays it.
 	xs     tape.Stack
 	events eventTally
 }
@@ -87,108 +87,102 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward accumulates dW += dyᵀ·x and db += Σ_b dy, and returns dx = dy·W,
-// replaying the tape for x. Three backward-weight kernels serve the sparse
-// path: an event-encoded record feeds CSRGradATBEventsInto directly (work
-// scales with the recorded spike count), and dense records choose between
-// the column-strided reference and the blocked/transposed SDDMM by layer
-// width (gradATBTransposeMinCols).
+// Backward accumulates dW += dyᵀ·x and db += Σ_b dy for the most recent
+// recorded timestep and returns dx = dy·W: the T=1 case of BackwardSeq.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	rec := l.xs.Pop()
+	return l.BackwardSeq([]*tensor.Tensor{dy})[0]
+}
+
+// BackwardSeq replays the tape for the last T recorded timesteps, given their
+// output gradients dys[0..T-1], mirroring Conv2d.BackwardSeq. When every
+// record is event-encoded, the weight is CSR and active-position-only
+// gradients are armed, the T recorded spike patterns are row-stacked into one
+// [T·B, In] pattern (sparse.StackTimesteps: timesteps become extra batch
+// samples) and consumed by ONE events SDDMM against the row-stacked dy, and
+// backward-data likewise pays a single weight traversal for all T timesteps.
+// Otherwise the timesteps replay newest first over the materialized record:
+// the sparse path chooses between the column-strided reference and the
+// blocked/transposed SDDMM by layer width (gradATBTransposeMinCols), and
+// dense weight gradients (growth batches, unmasked layers) take dyᵀ·x. Input
+// gradients are identical on both paths; the fused one accumulates weight
+// and bias gradients over the timesteps in ascending instead of descending
+// order (float rounding only).
+func (l *Linear) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
+	T := len(dys)
+	recs := make([]tape.Rec, T)
+	for t := T - 1; t >= 0; t-- {
+		recs[t] = l.xs.Pop()
+	}
 	wcsr := l.Weight.SparseW()
-	if wcsr != nil && l.Weight.SparseGradOK {
+	sparseGrad := wcsr != nil && l.Weight.SparseGradOK
+	fused := sparseGrad && T > 0
+	for _, rec := range recs {
+		fused = fused && rec.IsEvents()
+	}
+	dxs := make([]*tensor.Tensor, T)
+	if fused {
+		evs := make([]*sparse.Events, T)
+		for t, rec := range recs {
+			evs[t] = rec.Events()
+		}
+		b := dys[0].Dim(0)
+		dyS := tensor.New(T*b, l.Out)
+		for t, dy := range dys {
+			copy(dyS.Data[t*b*l.Out:(t+1)*b*l.Out], dy.Data)
+		}
 		vals := make([]float32, wcsr.NNZ())
-		if rec.IsEvents() {
-			sparse.CSRGradATBEventsInto(vals, wcsr, dy, rec.Events())
-		} else if wcsr.Cols >= gradATBTransposeMinCols {
-			sparse.CSRGradATBTransposedInto(vals, wcsr, dy, rec.Dense())
-		} else {
-			sparse.CSRGradATBInto(vals, wcsr, dy, rec.Dense())
-		}
+		sparse.CSRGradATBEventsInto(vals, wcsr, dyS, sparse.StackTimesteps(evs))
 		sparse.AddValsInto(l.Weight.Grad, wcsr, vals)
-	} else {
-		// Dense weight gradients (growth batches, unmasked layers) need the
-		// full activation; Materialize is transient, one timestep at a time.
-		tensor.MatMulATBInto(l.Weight.Grad, dy, rec.Materialize(), true)
+		l.addBiasGrad(dyS)
+		// One weight traversal serves every timestep's input gradient; the
+		// per-timestep views alias disjoint slices of the stacked result.
+		dxS := l.backwardData(dyS, wcsr)
+		for t := range dxs {
+			dxs[t] = tensor.FromSlice(dxS.Data[t*b*l.In:(t+1)*b*l.In], b, l.In)
+		}
+		return dxs
 	}
-	if l.Bias != nil {
-		b := dy.Dim(0)
-		for bi := 0; bi < b; bi++ {
-			row := dy.Data[bi*l.Out : (bi+1)*l.Out]
-			for j, v := range row {
-				l.Bias.Grad.Data[j] += v
+	for t := T - 1; t >= 0; t-- {
+		// Materialize decodes an event record transiently, one timestep at
+		// a time, so peak cache memory stays at the event-encoded level.
+		dy, x := dys[t], recs[t].Materialize()
+		if sparseGrad {
+			vals := make([]float32, wcsr.NNZ())
+			if wcsr.Cols >= gradATBTransposeMinCols {
+				sparse.CSRGradATBTransposedInto(vals, wcsr, dy, x)
+			} else {
+				sparse.CSRGradATBInto(vals, wcsr, dy, x)
 			}
+			sparse.AddValsInto(l.Weight.Grad, wcsr, vals)
+		} else {
+			tensor.MatMulATBInto(l.Weight.Grad, dy, x, true)
+		}
+		l.addBiasGrad(dy)
+		dxs[t] = l.backwardData(dy, wcsr)
+	}
+	return dxs
+}
+
+// addBiasGrad adds every row of dy into the bias gradient.
+func (l *Linear) addBiasGrad(dy *tensor.Tensor) {
+	if l.Bias == nil {
+		return
+	}
+	for i := 0; i < dy.Dim(0); i++ {
+		for j, v := range dy.Data[i*l.Out : (i+1)*l.Out] {
+			l.Bias.Grad.Data[j] += v
 		}
 	}
+}
+
+// backwardData returns dx = dy·W, through wcsr when the weight is CSR-encoded.
+func (l *Linear) backwardData(dy *tensor.Tensor, wcsr *sparse.CSR) *tensor.Tensor {
 	if wcsr != nil {
 		dx := tensor.New(dy.Dim(0), l.In)
 		sparse.MatMulDenseCSRInto(dx, dy, wcsr, false)
 		return dx
 	}
 	return tensor.MatMul(dy, l.Weight.W)
-}
-
-// BackwardSeq consumes all T timestep gradients at once — the linear layer's
-// time-major fused replay, mirroring Conv2d.BackwardSeq. When every recorded
-// timestep is event-encoded, the weight is CSR and active-position-only
-// gradients are armed, the T recorded spike patterns are row-stacked into one
-// [T·B, In] pattern (sparse.StackTimesteps: timesteps become extra batch
-// samples) and consumed by ONE events SDDMM against the row-stacked dy, and
-// backward-data likewise pays a single weight traversal for all T timesteps —
-// the fused-dy replay the per-timestep Backward repeated T times. Anything
-// else falls back to T Backward calls in reverse order. Input gradients are
-// bit-identical to the per-timestep replay; weight/bias gradients accumulate
-// the timesteps in ascending instead of descending order (float rounding
-// only).
-func (l *Linear) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
-	T := len(dys)
-	wcsr := l.Weight.SparseW()
-	fused := T > 1 && wcsr != nil && l.Weight.SparseGradOK && l.xs.Len() >= T
-	if fused {
-		for i := 0; i < T; i++ {
-			if !l.xs.Peek(i).IsEvents() {
-				fused = false
-				break
-			}
-		}
-	}
-	if !fused {
-		dxs := make([]*tensor.Tensor, T)
-		for t := T - 1; t >= 0; t-- {
-			dxs[t] = l.Backward(dys[t])
-		}
-		return dxs
-	}
-	recs := make([]*sparse.Events, T)
-	for t := T - 1; t >= 0; t-- {
-		recs[t] = l.xs.Pop().Events()
-	}
-	b := dys[0].Dim(0)
-	dyS := tensor.New(T*b, l.Out)
-	for t, dy := range dys {
-		copy(dyS.Data[t*b*l.Out:(t+1)*b*l.Out], dy.Data)
-	}
-	evS := sparse.StackTimesteps(recs)
-	vals := make([]float32, wcsr.NNZ())
-	sparse.CSRGradATBEventsInto(vals, wcsr, dyS, evS)
-	sparse.AddValsInto(l.Weight.Grad, wcsr, vals)
-	if l.Bias != nil {
-		for i := 0; i < T*b; i++ {
-			row := dyS.Data[i*l.Out : (i+1)*l.Out]
-			for j, v := range row {
-				l.Bias.Grad.Data[j] += v
-			}
-		}
-	}
-	// One weight traversal serves every timestep's input gradient; the
-	// per-timestep views alias disjoint slices of the stacked result.
-	dxS := tensor.New(T*b, l.In)
-	sparse.MatMulDenseCSRInto(dxS, dyS, wcsr, false)
-	dxs := make([]*tensor.Tensor, T)
-	for t := range dxs {
-		dxs[t] = tensor.FromSlice(dxS.Data[t*b*l.In:(t+1)*b*l.In], b, l.In)
-	}
-	return dxs
 }
 
 // EventStats returns the event-driven fast-path counters accumulated since

@@ -42,8 +42,8 @@ var EventMaxRate = 0.3
 // transpose to make every per-position dot product stream two contiguous
 // rows; on wide layers the strided walk misses cache badly enough that the
 // transpose amortizes almost immediately, while on narrow layers it is pure
-// overhead. Event-encoded tape records bypass the choice entirely — they
-// feed the event kernel.
+// overhead. A tape whose every record is event-encoded bypasses the choice
+// — its fused replay feeds the event kernel.
 const gradATBTransposeMinCols = 128
 
 // SparseW returns the cached CSR encoding of the parameter's weight matrix

@@ -97,7 +97,7 @@ func SynapticOps(denseMACs int64, density, spikeRate float64, timesteps int) flo
 }
 
 // EventStats aggregates the per-layer spike-occupancy counters of the
-// event-driven forward engine (layers.EventCounters, rolled up by
+// event-driven forward engine (layers.EventRecorder, rolled up by
 // snn.Network.EventStats). Where SynapticOps predicts skipped work from the
 // analytic spikeRate × density model, these counters record what the engine
 // actually measured — and therefore actually skipped — at each layer's
@@ -115,9 +115,6 @@ type EventStats struct {
 	// Entries / ActiveEntries count activation-matrix entries inspected on
 	// binary inputs vs the subset that were spikes.
 	Entries, ActiveEntries int64
-	// Cols / ActiveCols count im2col output columns vs those with at least
-	// one spike in the receptive field (conv layers only).
-	Cols, ActiveCols int64
 }
 
 // Merge accumulates another layer's (or network's) counters into e.
@@ -126,8 +123,6 @@ func (e *EventStats) Merge(o EventStats) {
 	e.EventForwards += o.EventForwards
 	e.Entries += o.Entries
 	e.ActiveEntries += o.ActiveEntries
-	e.Cols += o.Cols
-	e.ActiveCols += o.ActiveCols
 }
 
 // Occupancy returns the measured fraction of activation entries that were
@@ -147,16 +142,6 @@ func (e EventStats) EventCoverage() float64 {
 		return 0
 	}
 	return float64(e.EventForwards) / float64(e.Forwards)
-}
-
-// ColumnOccupancy returns the fraction of im2col output columns with at
-// least one spike — the whole-column skip opportunity left on the table by
-// kernels that only mask columns instead of consuming events.
-func (e EventStats) ColumnOccupancy() float64 {
-	if e.Cols == 0 {
-		return 0
-	}
-	return float64(e.ActiveCols) / float64(e.Cols)
 }
 
 // MeasuredSynOps is SynapticOps with the engine's measured spike occupancy

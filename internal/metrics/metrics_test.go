@@ -135,16 +135,13 @@ func TestConfusionIgnoresOutOfRange(t *testing.T) {
 
 func TestEventStats(t *testing.T) {
 	var e EventStats
-	e.Merge(EventStats{Forwards: 10, EventForwards: 5, Entries: 100, ActiveEntries: 10, Cols: 20, ActiveCols: 15})
-	e.Merge(EventStats{Forwards: 10, EventForwards: 10, Entries: 100, ActiveEntries: 30, Cols: 20, ActiveCols: 5})
+	e.Merge(EventStats{Forwards: 10, EventForwards: 5, Entries: 100, ActiveEntries: 10})
+	e.Merge(EventStats{Forwards: 10, EventForwards: 10, Entries: 100, ActiveEntries: 30})
 	if e.Occupancy() != 0.2 {
 		t.Fatalf("occupancy %v, want 0.2", e.Occupancy())
 	}
 	if e.EventCoverage() != 0.75 {
 		t.Fatalf("coverage %v, want 0.75", e.EventCoverage())
-	}
-	if e.ColumnOccupancy() != 0.5 {
-		t.Fatalf("column occupancy %v, want 0.5", e.ColumnOccupancy())
 	}
 	// Measured synops substitutes the measured occupancy for the analytic
 	// spike rate: 1000 MACs × 0.1 density × 0.2 occupancy × 5 timesteps.
@@ -152,7 +149,7 @@ func TestEventStats(t *testing.T) {
 		t.Fatalf("measured synops %v, want 100", got)
 	}
 	var zero EventStats
-	if zero.Occupancy() != 0 || zero.EventCoverage() != 0 || zero.ColumnOccupancy() != 0 {
+	if zero.Occupancy() != 0 || zero.EventCoverage() != 0 {
 		t.Fatal("zero-value EventStats must report zero rates")
 	}
 }

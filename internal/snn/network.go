@@ -131,9 +131,8 @@ func (n *Network) ResetSpikeStats() {
 }
 
 // EventStats rolls the per-layer event-driven forward counters up into the
-// metrics aggregate: measured spike occupancy, event-path coverage and
-// column occupancy across every sparse-capable layer since the last
-// ResetEventStats. This is the measured side of the efficiency accounting —
+// metrics aggregate: measured spike occupancy and event-path coverage
+// across every sparse-capable layer since the last ResetEventStats. This is the measured side of the efficiency accounting —
 // the LIF layers' SpikeStats say how often neurons fired, these counters say
 // how much forward work the engine skipped because of it.
 func (n *Network) EventStats() metrics.EventStats {

@@ -48,22 +48,10 @@ func NewResidualBlock(name string, inC, outC, stride int, neuron NeuronConfig, r
 	return b
 }
 
-// Forward runs one timestep through both paths and the output neuron.
+// Forward runs one timestep through both paths and the output neuron: the
+// T=1 case of ForwardSeq.
 func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	h := b.Conv1.Forward(x, train)
-	h = b.BN1.Forward(h, train)
-	h = b.LIF1.Forward(h, train)
-	h = b.Conv2.Forward(h, train)
-	h = b.BN2.Forward(h, train)
-	sc := x
-	if b.SCConv != nil {
-		sc = b.SCConv.Forward(x, train)
-		sc = b.SCBN.Forward(sc, train)
-	}
-	if !h.SameShape(sc) {
-		panic(fmt.Sprintf("snn: residual shapes diverge: %v vs %v", h.Shape(), sc.Shape()))
-	}
-	return b.LIF2.Forward(tensor.Add(h, sc), train)
+	return b.ForwardSeq([]*tensor.Tensor{x}, train)[0]
 }
 
 // ForwardSeq runs all T timesteps time-major through both paths: the
@@ -105,20 +93,10 @@ func (b *ResidualBlock) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
 	return out
 }
 
-// Backward reverses one timestep through both paths.
+// Backward reverses the most recent timestep through both paths: the T=1
+// case of BackwardSeq.
 func (b *ResidualBlock) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dsum := b.LIF2.Backward(dy)
-	dmain := b.BN2.Backward(dsum)
-	dmain = b.Conv2.Backward(dmain)
-	dmain = b.LIF1.Backward(dmain)
-	dmain = b.BN1.Backward(dmain)
-	dmain = b.Conv1.Backward(dmain)
-	dsc := dsum
-	if b.SCConv != nil {
-		dsc = b.SCBN.Backward(dsum)
-		dsc = b.SCConv.Backward(dsc)
-	}
-	return tensor.Add(dmain, dsc)
+	return b.BackwardSeq([]*tensor.Tensor{dy})[0]
 }
 
 // Params returns the parameters of every sublayer.

@@ -60,8 +60,8 @@ func (e *Events) Occupancy() float64 {
 // EncodeEvents extracts the event pattern of a 2-D binary tensor. It returns
 // ok=false (with a nil pattern) as soon as it sees a value outside {0,1} —
 // the caller then knows the input is analog and falls back to a dense-operand
-// kernel. The scan is O(rows·cols); reuse tensor.Im2ColEvents when the
-// pattern can be extracted during im2col instead.
+// kernel. The scan is O(rows·cols); a conv layer's im2col pattern is built
+// from the spike positions instead (tensor.Im2ColPatternFromEvents).
 func EncodeEvents(t *tensor.Tensor) (*Events, bool) {
 	rows, cols := dims2(t, "EncodeEvents")
 	e := &Events{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1)}

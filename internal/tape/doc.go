@@ -11,9 +11,12 @@
 // activation as a Rec that is either event-encoded (a sparse.Events pattern,
 // ~occupancy× the dense footprint) or dense (analog inputs, e.g. the first
 // convolution under direct encoding or post-BatchNorm currents). The backward
-// pass replays the tape: recorded event patterns are consumed directly by the
-// event-aware gradient kernels in internal/sparse, so backward-weight work
-// scales with weightDensity × spikeRate like the forward pass does.
+// pass replays the tape: when every timestep of a layer's tape is
+// event-encoded and active-position-only gradients are armed, the recorded
+// patterns are consumed directly by the event-aware gradient kernels in
+// internal/sparse, so backward-weight work scales with weightDensity ×
+// spikeRate like the forward pass does; otherwise each record is decoded one
+// timestep at a time.
 //
 // Every push and pop updates a package-level memory meter
 // (CacheBytes/PeakBytes), so peak BPTT activation-cache memory is a measured
@@ -29,8 +32,9 @@
 // which lets Conv2d fuse the T event patterns of a sample
 // (sparse.FuseTimesteps) and compute all T forward passes in one traversal
 // of the weight matrix. Layers opt into the fused path by implementing
-// SequenceLayer; everything else is driven per timestep in order, which is
-// exactly what the step-major schedule would have done to it.
+// SequenceLayer (Conv2d's per-timestep Forward is just ForwardSeq at T=1);
+// everything else is driven per timestep in order, which is exactly what the
+// step-major schedule would have done to it.
 //
 // The package sits just above internal/sparse and internal/tensor; the layer
 // library stores its caches in tape Stacks, and internal/snn's Network drives

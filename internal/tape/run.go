@@ -16,7 +16,8 @@ type Layer interface {
 // semantically identical to T successive Forward calls (including what it
 // records for backward); it exists so a layer can amortize work across
 // timesteps, e.g. Conv2d's fused event GEMM traverses its weight matrix once
-// for all T timesteps.
+// for all T timesteps. Conv2d and ResidualBlock have no separate
+// per-timestep forward: their Forward is ForwardSeq's T=1 case.
 type SequenceLayer interface {
 	Layer
 	ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor
@@ -25,9 +26,11 @@ type SequenceLayer interface {
 // SequenceBackwardLayer is the backward half of the time-major fast path: a
 // layer that can replay its whole tape at once. BackwardSeq consumes the
 // per-timestep output gradients (dys[t] for t = 0..T-1) and must accumulate
-// the same parameter gradients and return the same input gradients as T
-// Backward calls in reverse order — fusing the timesteps lets Conv2d pay one
-// weight traversal and one event-pattern overhead for all T.
+// the same parameter gradients (up to float summation order) and return the
+// same input gradients as T Backward calls in reverse order — fusing the
+// timesteps lets Conv2d pay one weight traversal and one event-pattern
+// overhead for all T. Conv2d, Linear and ResidualBlock implement Backward as
+// BackwardSeq's T=1 case.
 type SequenceBackwardLayer interface {
 	Layer
 	BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor

@@ -14,16 +14,15 @@ import (
 // either representation.
 var CacheEvents = true
 
-// CacheMaxRate is the spike occupancy above which Push keeps the dense
+// cacheMaxRate is the spike occupancy above which Push keeps the dense
 // representation even for binary inputs. Memory-wise events win almost up to
 // full occupancy (4·nnz + 4·(rows+1) bytes vs 4·N dense), but the replay
 // kernels that consume the pattern stop beating the dense SDDMM well before
 // that — the same economics as the forward's EventMaxRate gate — and a dense
 // record replays with zero decode work. 0.5 keeps hot caches on the path
 // that backpropagates fastest while still halving their worst-case footprint
-// ceiling; raise it toward 1 when training memory, not wall-clock, is the
-// binding constraint.
-var CacheMaxRate = 0.5
+// ceiling.
+const cacheMaxRate = 0.5
 
 // Rec is one recorded per-timestep activation: either a dense tensor or the
 // event pattern of a binary one, plus the original tensor shape so replay can
@@ -89,7 +88,7 @@ type Stack struct {
 }
 
 // Push records x, event-encoding it when CacheEvents is set, the tensor is
-// binary ({0,1} valued) and its occupancy is at most CacheMaxRate; otherwise
+// binary ({0,1} valued) and its occupancy is at most cacheMaxRate; otherwise
 // it records the tensor itself. The event pattern is extracted over the
 // [Dim(0), Size/Dim(0)] flattening (one row per batch sample). The gate is
 // checked with a scan before the pattern is allocated — rejected (analog or
@@ -100,7 +99,7 @@ type Stack struct {
 // the serial scan's).
 func (s *Stack) Push(x *tensor.Tensor) {
 	if CacheEvents {
-		limit := int(CacheMaxRate * float64(x.Size()))
+		limit := int(cacheMaxRate * float64(x.Size()))
 		nnz, binary := scanBinary(x.Data, limit)
 		if binary && nnz > limit {
 			binary = false
@@ -201,11 +200,6 @@ func (s *Stack) Pop() Rec {
 
 // Len returns the number of retained records.
 func (s *Stack) Len() int { return len(s.recs) }
-
-// Peek returns the i-th record from the top (0 = most recent) without
-// removing it, so a fused backward can decide whether all its timesteps are
-// event-encoded before committing to a replay strategy.
-func (s *Stack) Peek(i int) Rec { return s.recs[len(s.recs)-1-i] }
 
 // Clear drops every retained record (between-batch Reset), zeroing the
 // vacated slots so the backing array does not pin the popped tensors.

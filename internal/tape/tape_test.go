@@ -70,7 +70,7 @@ func TestStackDenseFallbacks(t *testing.T) {
 		t.Fatal("analog tensor should be cached dense, by reference")
 	}
 
-	hot := spikeTensor(r, 0.95, 2, 50) // occupancy above CacheMaxRate
+	hot := spikeTensor(r, 0.95, 2, 50) // occupancy above the 0.5 cache gate
 	withCacheEvents(true, func() { s.Push(hot) })
 	if rec := s.Pop(); rec.IsEvents() {
 		t.Fatal("high-occupancy tensor should be cached dense")
