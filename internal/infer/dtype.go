@@ -185,7 +185,7 @@ func (e *Engine) StageDTypes() []StageDType { return e.stageDT }
 // activation-requant boundary, its grid projection) runs on integer levels.
 func stageInteger(s stage) bool {
 	switch s.(type) {
-	case *qconvStage, *qlinearStage, *intAvgPoolStage, *aquantStage:
+	case *convStage[int32], *linearStage[int32], *intAvgPoolStage, *aquantStage:
 		return true
 	default:
 		return false
@@ -197,15 +197,13 @@ func stageInteger(s stage) bool {
 // (residual — its internal rows carry the slots).
 func stageOutSlot(s stage) int {
 	switch st := s.(type) {
-	case *convStage:
+	case *convStage[float32]:
 		return st.slot
-	case *qconvStage:
+	case *convStage[int32]:
 		return st.slot
-	case *linearStage:
+	case *linearStage[float32]:
 		return st.slot
-	case *qlinearStage:
-		return st.slot
-	case *affineStage:
+	case *linearStage[int32]:
 		return st.slot
 	case *lifStage:
 		return st.slot

@@ -128,10 +128,10 @@ type QuantStats struct {
 	// float32 — analog-input stages such as the direct-encoding first conv).
 	QuantizedStages, ComputeStages int
 	// AnalogStages counts compute stages whose synaptic arithmetic runs in
-	// float32: unquantized conv/linear stages, float average pools, and
-	// standalone BN affines. Zero is the checkable "fully integer" claim —
-	// every remaining float op is an O(neurons) epilogue (requant affine,
-	// LIF threshold) operating on exact grid values.
+	// float32: unquantized conv/linear stages and float average pools. Zero
+	// is the checkable "fully integer" claim — every remaining float op is an
+	// O(neurons) epilogue (requant affine, LIF threshold) operating on exact
+	// grid values.
 	AnalogStages int
 	// Stages is the per-stage dtype table (also via Engine.StageDTypes).
 	Stages []StageDType
@@ -180,15 +180,9 @@ func denseMACs(stages []stage) int64 {
 
 // Compile builds an engine from a trained network. The network is read, not
 // modified; BN running statistics must reflect training (i.e. compile after
-// training, as with any deployment export). The network must use direct
-// encoding (a nil Encoder): the engine presents the analog sample itself at
-// every timestep and evaluates the stages ahead of the first LIF once per
-// pass, so a network with an input encoder is rejected with an error naming
-// the encoder type.
+// training, as with any deployment export). Every BatchNorm must follow a
+// conv or linear layer, into whose epilogue it folds.
 func Compile(net *snn.Network) (*Engine, error) {
-	if err := checkDirectEncoding(net); err != nil {
-		return nil, err
-	}
 	e := &Engine{T: net.T}
 	c := &compiler{eng: e, dt: dtAnalog}
 	stages, err := c.compile(net.Layers)
@@ -216,17 +210,11 @@ type QuantConfig struct {
 	// still runs float synaptic arithmetic. Implies ActivationBits=8 when
 	// ActivationBits is unset.
 	FullInteger bool
-	// InputMaxAbs is the input activation range the ActGrid covers.
-	// 0 defaults to 1 — the direct-encoding pixel range.
-	InputMaxAbs float32
 }
 
 func (cfg QuantConfig) withDefaults() QuantConfig {
 	if cfg.FullInteger && cfg.ActivationBits == 0 {
 		cfg.ActivationBits = 8
-	}
-	if cfg.InputMaxAbs == 0 {
-		cfg.InputMaxAbs = 1
 	}
 	return cfg
 }
@@ -256,12 +244,7 @@ func CompileQuantized(net *snn.Network, bits int) (*Engine, error) {
 // power of two, the engine stays bit-identical to the float engine running
 // on the dequantized weights (grid-snapped inputs, ≤8-bit weights) — the
 // PR 4 equivalence pin extended to the fully-integer path.
-//
-// Like Compile, it rejects a network with an input encoder.
 func CompileQuantizedConfig(net *snn.Network, cfg QuantConfig) (*Engine, error) {
-	if err := checkDirectEncoding(net); err != nil {
-		return nil, err
-	}
 	cfg = cfg.withDefaults()
 	if cfg.WeightBits < 2 || cfg.WeightBits > 16 {
 		return nil, fmt.Errorf("infer: unsupported bit width %d (want 2..16)", cfg.WeightBits)
@@ -272,7 +255,8 @@ func CompileQuantizedConfig(net *snn.Network, cfg QuantConfig) (*Engine, error) 
 	c := &compiler{eng: e, cfg: cfg, dt: dtAnalog}
 	var stages []stage
 	if cfg.ActivationBits > 0 {
-		g, err := quant.NewActGrid(cfg.InputMaxAbs, cfg.ActivationBits)
+		// The input grid covers [-1, 1], the direct-encoding pixel range.
+		g, err := quant.NewActGrid(1, cfg.ActivationBits)
 		if err != nil {
 			return nil, err
 		}
@@ -298,16 +282,6 @@ func CompileQuantizedConfig(net *snn.Network, cfg QuantConfig) (*Engine, error) 
 	return e, nil
 }
 
-// checkDirectEncoding rejects a network with an input encoder. A Poisson or
-// latency encoder presents a different input at every timestep; the engine
-// would serve a different model.
-func checkDirectEncoding(net *snn.Network) error {
-	if net.Encoder != nil {
-		return fmt.Errorf("infer: cannot compile a network with input encoder %T (the engine supports direct encoding only)", net.Encoder)
-	}
-	return nil
-}
-
 // InputGrid returns the activation grid of the engine's input requant
 // boundary; ok is false when the engine was compiled without
 // ActivationBits. Samples already on this grid pass the boundary unchanged,
@@ -322,7 +296,7 @@ func (e *Engine) analogStageNames() []string {
 	var names []string
 	for _, st := range e.stageDT {
 		switch st.Kind {
-		case "conv", "linear", "avgpool", "affine":
+		case "conv", "linear", "avgpool":
 			if !st.Integer {
 				names = append(names, st.Name)
 			}
@@ -434,7 +408,7 @@ func (c *compiler) compile(ls []layers.Layer) ([]stage, error) {
 	var out []stage
 	for i := 0; i < len(ls); i++ {
 		switch l := ls[i].(type) {
-		case *layers.Conv2d:
+		case *layers.Conv2d, *layers.Linear:
 			var bn *layers.BatchNorm
 			if i+1 < len(ls) {
 				if b, ok := ls[i+1].(*layers.BatchNorm); ok {
@@ -443,48 +417,12 @@ func (c *compiler) compile(ls []layers.Layer) ([]stage, error) {
 				}
 			}
 			din := c.dt
-			var s stage
-			if c.quantizing() {
-				qs, err := newQConvStage(l, bn, c)
-				if err != nil {
-					return nil, err
-				}
-				s = qs
-			} else {
-				s = newConvStage(l, bn, c)
+			s, err := c.computeStage(l, bn)
+			if err != nil {
+				return nil, err
 			}
 			out = append(out, s)
 			c.countComputeStage(c.quantizing())
-			c.dt = dtAnalog
-			c.record(s, din, c.dt)
-		case *layers.Linear:
-			var bn *layers.BatchNorm
-			if i+1 < len(ls) {
-				if b, ok := ls[i+1].(*layers.BatchNorm); ok {
-					bn = b
-					i++
-				}
-			}
-			din := c.dt
-			var s stage
-			if c.quantizing() {
-				qs, err := newQLinearStage(l, bn, c)
-				if err != nil {
-					return nil, err
-				}
-				s = qs
-			} else {
-				s = newLinearStage(l, bn, c)
-			}
-			out = append(out, s)
-			c.countComputeStage(c.quantizing())
-			c.dt = dtAnalog
-			c.record(s, din, c.dt)
-		case *layers.BatchNorm:
-			din := c.dt
-			s := newAffineStage(l, c)
-			out = append(out, s)
-			c.countAnalogStage()
 			c.dt = dtAnalog
 			c.record(s, din, c.dt)
 		case *snn.LIF:
@@ -545,6 +483,50 @@ func (c *compiler) compile(ls []layers.Layer) ([]stage, error) {
 // integer levels (binary spikes, or a QuantInt grid).
 func (c *compiler) quantizing() bool { return c.cfg.WeightBits > 0 && c.dt.onGrid() }
 
+// computeStage compiles a conv or linear layer, with its bias and the
+// eval-mode affine of the BatchNorm bn that follows it (nil if none) folded
+// into the epilogue: over the QCSR levels quantizeWeight decodes when
+// quantizing, otherwise over the float weights with deq = 1.
+func (c *compiler) computeStage(l layers.Layer, bn *layers.BatchNorm) (stage, error) {
+	var weight, bias *layers.Param
+	kind := "qlinear"
+	switch l := l.(type) {
+	case *layers.Conv2d:
+		weight, bias, kind = l.Weight, l.Bias, "qconv"
+	case *layers.Linear:
+		weight, bias = l.Weight, l.Bias
+	}
+	var b, scale, shift []float32
+	if bias != nil {
+		b = append([]float32(nil), bias.W.Data...)
+	}
+	if bn != nil {
+		scale, shift = bnFold(bn)
+	}
+	if !c.quantizing() {
+		deq := make([]float32, weight.W.Dim(0))
+		for i := range deq {
+			deq[i] = 1
+		}
+		return newComputeStage(l, weight.W.Data, epilogue[float32]{deq: deq, bias: b, scale: scale, shift: shift}, c), nil
+	}
+	levels, ep, err := c.quantizeWeight(weight, kind)
+	if err != nil {
+		return nil, err
+	}
+	ep.bias, ep.scale, ep.shift = b, scale, shift
+	return newComputeStage(l, levels, ep, c), nil
+}
+
+// newComputeStage builds the conv or linear stage of layer l over the dense
+// row-major weight matrix w.
+func newComputeStage[W weight](l layers.Layer, w []W, ep epilogue[W], c *compiler) stage {
+	if conv, ok := l.(*layers.Conv2d); ok {
+		return newConvStage(conv, w, ep, c)
+	}
+	return newLinearStage(l.(*layers.Linear), w, ep, c)
+}
+
 func (c *compiler) countComputeStage(quantized bool) {
 	if q := c.eng.quant; q != nil {
 		q.ComputeStages++
@@ -555,7 +537,7 @@ func (c *compiler) countComputeStage(quantized bool) {
 }
 
 // countAnalogStage tallies a non-conv/linear stage that performs float
-// arithmetic on activations (float average pool, standalone BN affine).
+// arithmetic on activations (a float average pool).
 func (c *compiler) countAnalogStage() {
 	if q := c.eng.quant; q != nil {
 		q.AnalogStages++

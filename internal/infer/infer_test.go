@@ -2,13 +2,13 @@ package infer_test
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"ndsnn/internal/baselines"
 	"ndsnn/internal/core"
 	"ndsnn/internal/data"
 	"ndsnn/internal/infer"
+	"ndsnn/internal/layers"
 	"ndsnn/internal/models"
 	"ndsnn/internal/rng"
 	"ndsnn/internal/snn"
@@ -233,17 +233,35 @@ func TestEngineDeterministicAcrossResets(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsInputEncoder: the engine presents the analog sample
-// itself at every timestep, so a network with a rate or latency encoder
-// would be served as a different model. Both compile entry points must
-// refuse it, naming the encoder type.
-func TestCompileRejectsInputEncoder(t *testing.T) {
-	net := testutil.TinyNet(4, 3, 13)
-	net.Encoder = &snn.PoissonEncoder{Rng: rng.New(13)}
-	if _, err := infer.Compile(net); err == nil || !strings.Contains(err.Error(), "PoissonEncoder") {
-		t.Fatalf("Compile with a Poisson encoder: err = %v, want an error naming the encoder", err)
+// TestEpilogueWithoutBatchNorm covers the epilogue branches no model
+// reaches: every model's conv has a BatchNorm and every linear a BatchNorm
+// or a bias, so convs with only a bias, a bare conv and a bare linear
+// compile only here. The float engine must match the training path, and
+// the integer engine its dequantized float reference bit for bit.
+func TestEpilogueWithoutBatchNorm(t *testing.T) {
+	ds := data.SynthEasy(4, 64, 16, 45)
+	r := rng.New(14)
+	neuron := snn.DefaultNeuron()
+	net := &snn.Network{T: 3, Layers: []layers.Layer{
+		layers.NewConv2d("conv1", 3, 6, 3, 1, 1, true, r),
+		neuron.New(),
+		layers.NewConv2d("conv2", 6, 8, 3, 2, 1, true, r),
+		neuron.New(),
+		layers.NewConv2d("conv3", 8, 8, 3, 1, 1, false, r),
+		neuron.New(),
+		layers.NewMaxPool2d(2, 2),
+		layers.NewFlatten(),
+		layers.NewLinear("fc1", 8*4*4, 16, false, r),
+		neuron.New(),
+		layers.NewLinear("fc2", 16, 4, true, r),
+	}}
+	trainBriefly(t, net, ds)
+	eng, err := infer.Compile(net)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := infer.CompileQuantizedConfig(net, infer.QuantConfig{WeightBits: 8}); err == nil || !strings.Contains(err.Error(), "PoissonEncoder") {
-		t.Fatalf("CompileQuantizedConfig with a Poisson encoder: err = %v, want an error naming the encoder", err)
+	assertEquivalent(t, net, eng, ds, 8)
+	for _, bits := range []int{8, 4} {
+		quantEquivCheck(t, net, ds, bits, 8)
 	}
 }

@@ -3,8 +3,6 @@ package infer
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
-	"time"
 
 	"ndsnn/internal/layers"
 	"ndsnn/internal/quant"
@@ -13,23 +11,30 @@ import (
 	"ndsnn/internal/tensor"
 )
 
-// Quantized stages: the integer twins of convStage/linearStage. Weights are
-// QCSR levels (per-output-channel power-of-two scales), held as int32 in
-// the same synapse tables the float stages use, and events accumulate in
-// int32 through the same walks (convScatter, linearScatter); the
-// accumulator leaves integer exactly once per output element and timestep,
-// at the requantization affine
+// Integer stages: the convStage[int32] and linearStage[int32] instantiations
+// (stages.go). Weights are QCSR levels (per-output-channel power-of-two
+// scales), held as int32 in the same synapse tables the float stages use,
+// and events accumulate in int32 through the same walks (convScatter,
+// linearScatter); the accumulator leaves integer exactly once per output
+// element and timestep, at the requantization affine
 //
 //	y = bnScale·(s·acc + bias) + bnShift  =  M·acc + C
 //
 // with M = bnScale·s the composed requantization multiplier (a shift of
 // bnScale, since s is a power of two) and C = bnScale·bias + bnShift. The
-// affine is evaluated in the factored form — the same float operation order
-// as the float stages — so the integer engine is bit-identical to the float
-// engine running on the dequantized weights: s is a power of two, making
-// every dequantized level s·q and every partial sum s·Σq exact in float32.
-// Like their float twins the integer stages are immutable plans: the int32
-// accumulator lives in an arena slot.
+// affine is evaluated in the factored form — the float stages' epilogue with
+// deq = s — so the integer engine is bit-identical to the float engine
+// running on the dequantized weights: s is a power of two, making every
+// dequantized level s·q and every partial sum s·Σq exact in float32.
+//
+// An integer stage accepts either grid dtype (dtype.go). Fed binary spikes
+// (invIn == 0) every event contributes 1, so the accumulate is a sum of
+// levels; fed a QuantInt edge each event contributes its integer level,
+// recovered with one exact multiply (1/scale is a power of two), and the
+// accumulate is level×level products — the quantized analog-input layers of
+// the fully-integer pipeline. Either way deq folds the input grid's scale
+// (po2 × po2 is exact), so the stage remains bit-identical to the float
+// stage running on dequantized weights and grid inputs.
 
 // quantizedWeight records which trained parameter an integer stage
 // quantized, and to what.
@@ -40,153 +45,51 @@ type quantizedWeight struct {
 
 // quantizeWeight encodes a parameter's weight matrix (value-keyed: exact
 // zeros — masked-out weights — are not stored) and quantizes it onto the
-// per-channel QCSR grid, registering the pair on the engine. It fails,
-// naming the stage (kind is its label), when the stage's int32 accumulator
-// could overflow: one output's accumulator sums at most one level ×
-// input-level product per synapse of its row, so Σ|level| times the input
-// edge's maxLevel bounds it.
-func (c *compiler) quantizeWeight(p *layers.Param, kind string) (*quant.QCSR, error) {
+// per-channel QCSR grid, registering the pair on the engine. It returns the
+// levels as a dense row-major int32 matrix of the parameter's [rows, cols]
+// shape (a level that rounds to zero is a dead synapse, left out of the
+// stage's table) and the integer epilogue for the current input edge. It
+// fails, naming the stage (kind is its label), when the stage's int32
+// accumulator could overflow: one output's accumulator sums at most one
+// level × input-level product per synapse of its row, so Σ|level| times the
+// input edge's maxLevel bounds it.
+func (c *compiler) quantizeWeight(p *layers.Param, kind string) ([]int32, epilogue[int32], error) {
 	rows := p.W.Dim(0)
-	w2d := p.W.Reshape(rows, p.W.Size()/rows)
-	q, err := quant.QuantizeCSR(sparse.EncodeCSR(w2d), c.cfg.WeightBits, true)
+	cols := p.W.Size() / rows
+	q, err := quant.QuantizeCSR(sparse.EncodeCSR(p.W.Reshape(rows, cols)), c.cfg.WeightBits, true)
 	if err != nil {
-		return nil, err
+		return nil, epilogue[int32]{}, err
 	}
 	e := c.eng
 	e.qweights = append(e.qweights, quantizedWeight{p: p, q: q})
 	st := e.quant
 	st.QuantizedStages++
 	st.StoredSynapses += int64(q.NNZ())
+	ep := epilogue[int32]{deq: make([]float32, rows), accSlot: c.intSlot()}
+	if c.dt.Kind == QuantInt {
+		ep.invIn = 1 / c.dt.Scale
+	}
+	levels := make([]int32, rows*cols)
 	maxIn := c.dt.maxLevel()
-	for r := 0; r < q.Rows; r++ {
+	for r := 0; r < rows; r++ {
+		ep.deq[r] = q.RowScale(r) * c.dt.gridScale()
 		var sum int64
 		for p := q.RowPtr[r]; p < q.RowPtr[r+1]; p++ {
-			lv := int64(q.Level(int(p)))
+			lv := q.Level(int(p))
 			if lv == 0 {
 				st.ZeroQuantized++
 			}
-			sum += max(lv, -lv)
+			levels[r*cols+int(q.ColIdx[p])] = lv
+			sum += max(int64(lv), -int64(lv))
 		}
 		if sum*maxIn > math.MaxInt32 {
-			return nil, fmt.Errorf("infer: stage %s can overflow its int32 accumulator: output %d sums up to %d (Σ|level| %d × max input level %d), above 2^31−1; lower WeightBits or ActivationBits",
+			return nil, epilogue[int32]{}, fmt.Errorf("infer: stage %s can overflow its int32 accumulator: output %d sums up to %d (Σ|level| %d × max input level %d), above 2^31−1; lower WeightBits or ActivationBits",
 				c.stageName(kind), r, sum*maxIn, sum, maxIn)
 		}
 	}
 	st.PackedValueBytes += q.PackedValueBytes()
 	st.FloatValueBytes += 4 * int64(q.NNZ())
-	return q, nil
-}
-
-// qconvStage is the integer event-driven convolution with optional folded
-// BN. Geometry and post-accumulation op order mirror convStage exactly, and
-// it runs the same convScatter over int32 levels.
-//
-// The stage accepts either grid dtype (dtype.go). Fed binary spikes
-// (invIn == 0) every event contributes 1, so the accumulate is a sum of
-// levels; fed a QuantInt edge each event contributes its integer level,
-// recovered with one exact multiply (1/scale is a power of two), and the
-// accumulate is level×level products — the quantized analog-input
-// convolution of the fully-integer pipeline. Either way the requantization
-// multiplier deq folds the input grid's scale (po2 × po2 is exact), so the
-// stage remains bit-identical to the float stage running on dequantized
-// weights and grid inputs.
-type qconvStage struct {
-	inC, outC, k, stride, pad int
-	perChannel                [][]convEntry[int32]
-	deq                       []float32 // per-output-channel dequantization scale (× input grid scale)
-	invIn                     float32   // 1/input grid scale; 0 on binary-spike inputs
-	bias                      []float32 // conv bias (may be nil)
-	scale, shift              []float32 // folded BN (may be nil)
-	slot, accSlot             int
-	inHW                      atomic.Int64
-}
-
-func newQConvStage(l *layers.Conv2d, bn *layers.BatchNorm, c *compiler) (*qconvStage, error) {
-	qc, err := c.quantizeWeight(l.Weight, "qconv")
-	if err != nil {
-		return nil, err
-	}
-	s := &qconvStage{
-		inC: l.InC, outC: l.OutC, k: l.K, stride: l.Stride, pad: l.Pad,
-		perChannel: make([][]convEntry[int32], l.InC),
-		deq:        make([]float32, l.OutC),
-		slot:       c.actSlot(), accSlot: c.intSlot(),
-	}
-	inScale := float32(1)
-	if c.dt.Kind == QuantInt {
-		s.invIn = 1 / c.dt.Scale
-		inScale = c.dt.Scale
-	}
-	kk := l.K * l.K
-	for f := 0; f < l.OutC; f++ {
-		s.deq[f] = qc.RowScale(f) * inScale
-		for p := qc.RowPtr[f]; p < qc.RowPtr[f+1]; p++ {
-			lv := qc.Level(int(p))
-			if lv == 0 {
-				continue // dead synapse: rounded to zero at this precision
-			}
-			col := int(qc.ColIdx[p])
-			ci := col / kk
-			ki := (col % kk) / l.K
-			kj := col % l.K
-			s.perChannel[ci] = append(s.perChannel[ci], convEntry[int32]{int32(f), int32(ki), int32(kj), lv})
-		}
-	}
-	if l.Bias != nil {
-		s.bias = append([]float32(nil), l.Bias.W.Data...)
-	}
-	if bn != nil {
-		s.scale, s.shift = bnFold(bn)
-	}
-	return s, nil
-}
-
-func (s *qconvStage) denseMACs() int64 {
-	return convDenseMACs(int(s.inHW.Load()), s.outC, s.inC, s.k, s.stride, s.pad)
-}
-
-func (s *qconvStage) step(sc *Scratch, in *act) *act {
-	h, w := in.shape[1], in.shape[2]
-	s.inHW.Store(int64(h * w))
-	oh := tensor.ConvOutSize(h, s.k, s.stride, s.pad)
-	ow := tensor.ConvOutSize(w, s.k, s.stride, s.pad)
-	out := sc.actBuf3(s.slot, s.outC, oh, ow)
-	p := oh * ow
-	acc := sc.int32Buf(s.accSlot, s.outC*p)
-	inv := gridEvents(in.events, s.invIn, "conv")
-	sc.synOps += convScatter(acc, in.events, s.perChannel, inv, h, w, oh, ow, s.stride, s.pad)
-	var rqStart time.Time
-	if sc.timeRequant {
-		rqStart = time.Now()
-	}
-	for f := 0; f < s.outC; f++ {
-		d := s.deq[f]
-		var b float32
-		if s.bias != nil {
-			b = s.bias[f]
-		}
-		arow := acc[f*p : (f+1)*p]
-		row := out.data[f*p : (f+1)*p]
-		if s.scale != nil {
-			scl, sh := s.scale[f], s.shift[f]
-			for i := range row {
-				row[i] = scl*(d*float32(arow[i])+b) + sh
-			}
-		} else if b != 0 {
-			for i := range row {
-				row[i] = d*float32(arow[i]) + b
-			}
-		} else {
-			for i := range row {
-				row[i] = d * float32(arow[i])
-			}
-		}
-	}
-	if sc.timeRequant {
-		sc.requantNS += time.Since(rqStart).Nanoseconds()
-	}
-	out.refreshEvents()
-	return out
+	return levels, ep, nil
 }
 
 // gridEvents validates an integer stage's whole input event list against
@@ -209,83 +112,6 @@ func gridEvents(events []Event, invIn float32, kind string) float32 {
 		}
 	}
 	return invIn
-}
-
-// qlinearStage is the integer event-driven fully-connected layer: the same
-// linearScatter as linearStage over int32 levels, into an int32
-// accumulator. As in qconvStage, a spike event contributes 1 and a graded
-// event (a QuantInt input edge — the fully-integer pipeline's avg-pool
-// outputs) its recovered integer level.
-type qlinearStage struct {
-	in, out       int
-	perInput      [][]linearEntry[int32]
-	deq           []float32
-	invIn         float32 // 1/input grid scale; 0 on binary-spike inputs
-	bias          []float32
-	scale, shift  []float32
-	slot, accSlot int
-}
-
-func newQLinearStage(l *layers.Linear, bn *layers.BatchNorm, c *compiler) (*qlinearStage, error) {
-	qc, err := c.quantizeWeight(l.Weight, "qlinear")
-	if err != nil {
-		return nil, err
-	}
-	s := &qlinearStage{
-		in: l.In, out: l.Out, deq: make([]float32, l.Out),
-		perInput: make([][]linearEntry[int32], l.In),
-		slot:     c.actSlot(), accSlot: c.intSlot(),
-	}
-	inScale := float32(1)
-	if c.dt.Kind == QuantInt {
-		s.invIn = 1 / c.dt.Scale
-		inScale = c.dt.Scale
-	}
-	for o := 0; o < l.Out; o++ {
-		s.deq[o] = qc.RowScale(o) * inScale
-		for p := qc.RowPtr[o]; p < qc.RowPtr[o+1]; p++ {
-			if lv := qc.Level(int(p)); lv != 0 {
-				s.perInput[qc.ColIdx[p]] = append(s.perInput[qc.ColIdx[p]], linearEntry[int32]{int32(o), lv})
-			}
-		}
-	}
-	if l.Bias != nil {
-		s.bias = append([]float32(nil), l.Bias.W.Data...)
-	}
-	if bn != nil {
-		s.scale, s.shift = bnFold(bn)
-	}
-	return s, nil
-}
-
-func (s *qlinearStage) denseMACs() int64 { return int64(s.in) * int64(s.out) }
-
-func (s *qlinearStage) step(sc *Scratch, in *act) *act {
-	out := sc.actBuf1(s.slot, s.out)
-	acc := sc.int32Buf(s.accSlot, s.out)
-	inv := gridEvents(in.events, s.invIn, "linear")
-	sc.synOps += linearScatter(acc, in.events, s.perInput, inv)
-	var rqStart time.Time
-	if sc.timeRequant {
-		rqStart = time.Now()
-	}
-	for o := range out.data {
-		v := s.deq[o] * float32(acc[o])
-		var b float32
-		if s.bias != nil {
-			b = s.bias[o]
-		}
-		if s.scale != nil {
-			out.data[o] = s.scale[o]*(v+b) + s.shift[o]
-		} else {
-			out.data[o] = v + b
-		}
-	}
-	if sc.timeRequant {
-		sc.requantNS += time.Since(rqStart).Nanoseconds()
-	}
-	out.refreshEvents()
-	return out
 }
 
 // aquantStage is the explicit requantization boundary the walker inserts

@@ -3,6 +3,7 @@ package infer
 import (
 	"math"
 	"sync/atomic"
+	"time"
 
 	"ndsnn/internal/layers"
 	"ndsnn/internal/snn"
@@ -30,9 +31,79 @@ func bnFold(bn *layers.BatchNorm) (scale, shift []float32) {
 	return scale, shift
 }
 
-// weight is the accumulator type of a synapse walk: float32 on the float
-// stages, int32 (quantized levels) on the integer stages.
+// weight is the accumulator type of a conv or linear stage: float32 on the
+// float stages, int32 (quantized levels) on the integer stages.
 type weight interface{ float32 | int32 }
+
+// epilogue is the per-output tail shared by every conv and linear stage:
+//
+//	y = scale·(deq·acc + bias) + shift
+//
+// On float stages deq is 1 (1·acc = acc exactly). On integer stages deq is
+// the output row's weight scale times the input grid scale, invIn is 1/input
+// grid scale (0 on binary-spike inputs), and accSlot is the int32 arena slot
+// of the accumulator.
+type epilogue[W weight] struct {
+	deq          []float32 // per output
+	bias         []float32 // layer bias (may be nil)
+	scale, shift []float32 // folded BN (may be nil)
+	invIn        float32
+	accSlot      int
+}
+
+// accumulator returns the buffer the stage's scatter accumulates into and
+// the scatter's inv. A float stage accumulates in place, in its zeroed
+// output buffer, and takes every event value as it is. An integer stage
+// accumulates in its int32 arena slot, once gridEvents has checked the input
+// events against the compiled grid (kind names the stage in its panic).
+func (ep *epilogue[W]) accumulator(sc *Scratch, out []float32, events []Event, kind string) (acc []W, inv float32) {
+	switch a := any(&acc).(type) {
+	case *[]float32:
+		*a = out
+		return acc, 1
+	case *[]int32:
+		*a = sc.int32Buf(ep.accSlot, len(out))
+	}
+	return acc, gridEvents(events, ep.invIn, kind)
+}
+
+// apply writes the epilogue of every output — len(deq) rows of p positions
+// (p = 1 on linear stages) — into out and rebuilds its event list. On traced
+// passes the integer stages time it as their requant segment.
+func (ep *epilogue[W]) apply(sc *Scratch, out *act, acc []W, p int) {
+	_, integer := any(W(0)).(int32)
+	timed := sc.timeRequant && integer
+	var rqStart time.Time
+	if timed {
+		rqStart = time.Now()
+	}
+	for f, d := range ep.deq {
+		var b float32
+		if ep.bias != nil {
+			b = ep.bias[f]
+		}
+		arow := acc[f*p : (f+1)*p]
+		row := out.data[f*p : (f+1)*p]
+		if ep.scale != nil {
+			scl, sh := ep.scale[f], ep.shift[f]
+			for i := range row {
+				row[i] = scl*(d*float32(arow[i])+b) + sh
+			}
+		} else if b != 0 {
+			for i := range row {
+				row[i] = d*float32(arow[i]) + b
+			}
+		} else {
+			for i := range row {
+				row[i] = d * float32(arow[i])
+			}
+		}
+	}
+	if timed {
+		sc.requantNS += time.Since(rqStart).Nanoseconds()
+	}
+	out.refreshEvents()
+}
 
 // convEntry is one active synapse of an event-driven convolution, grouped
 // by presynaptic channel.
@@ -42,88 +113,59 @@ type convEntry[W weight] struct {
 	w      W
 }
 
-// convStage is an event-driven convolution with optional folded BN.
-type convStage struct {
+// convStage is an event-driven convolution over float weights or quantized
+// levels, with its bias and folded BN in the epilogue.
+type convStage[W weight] struct {
+	epilogue[W]
 	inC, outC, k, stride, pad int
-	perChannel                [][]convEntry[float32]
-	bias                      []float32 // conv bias (may be nil)
-	scale, shift              []float32 // folded BN (may be nil)
-	activeSynapses            int64
+	perChannel                [][]convEntry[W]
 	slot                      int
 	inHW                      atomic.Int64 // last seen spatial size (for dense MACs)
 }
 
-func newConvStage(l *layers.Conv2d, bn *layers.BatchNorm, c *compiler) *convStage {
-	s := &convStage{
-		inC: l.InC, outC: l.OutC, k: l.K, stride: l.Stride, pad: l.Pad,
-		perChannel: make([][]convEntry[float32], l.InC),
+// newConvStage builds the synapse table from w, the dense row-major
+// [outC, inC·k·k] weight matrix: its non-zeros grouped by input channel, in
+// (f, ki, kj) order within each channel.
+func newConvStage[W weight](l *layers.Conv2d, w []W, ep epilogue[W], c *compiler) *convStage[W] {
+	s := &convStage[W]{
+		epilogue: ep,
+		inC:      l.InC, outC: l.OutC, k: l.K, stride: l.Stride, pad: l.Pad,
+		perChannel: make([][]convEntry[W], l.InC),
 		slot:       c.actSlot(),
 	}
-	w := l.Weight.W
+	kk := l.K * l.K
+	cols := l.InC * kk
 	for f := 0; f < l.OutC; f++ {
-		for ci := 0; ci < l.InC; ci++ {
-			for ki := 0; ki < l.K; ki++ {
-				for kj := 0; kj < l.K; kj++ {
-					v := w.At(f, ci, ki, kj)
-					if v != 0 {
-						s.perChannel[ci] = append(s.perChannel[ci], convEntry[float32]{int32(f), int32(ki), int32(kj), v})
-						s.activeSynapses++
-					}
-				}
+		for col, v := range w[f*cols : (f+1)*cols] {
+			if v != 0 {
+				ci := col / kk
+				s.perChannel[ci] = append(s.perChannel[ci], convEntry[W]{int32(f), int32(col % kk / l.K), int32(col % l.K), v})
 			}
 		}
-	}
-	if l.Bias != nil {
-		s.bias = append([]float32(nil), l.Bias.W.Data...)
-	}
-	if bn != nil {
-		s.scale, s.shift = bnFold(bn)
 	}
 	return s
 }
 
-func (s *convStage) denseMACs() int64 {
-	return convDenseMACs(int(s.inHW.Load()), s.outC, s.inC, s.k, s.stride, s.pad)
-}
-
-// convDenseMACs is the dense-implementation MAC bound of a convolution —
-// outC·inC·k²·outHW — from the last seen (square) spatial size, shared by
-// the float and integer conv stages.
-func convDenseMACs(inHW, outC, inC, k, stride, pad int) int64 {
+// denseMACs is the dense-implementation MAC bound — outC·inC·k²·outHW — from
+// the last seen (square) spatial size.
+func (s *convStage[W]) denseMACs() int64 {
+	inHW := int(s.inHW.Load())
 	if inHW == 0 {
 		return 0
 	}
-	inH := int(math.Sqrt(float64(inHW)))
-	oh := tensor.ConvOutSize(inH, k, stride, pad)
-	return int64(outC*inC*k*k) * int64(oh*oh)
+	oh := tensor.ConvOutSize(int(math.Sqrt(float64(inHW))), s.k, s.stride, s.pad)
+	return int64(s.outC*s.inC*s.k*s.k) * int64(oh*oh)
 }
 
-func (s *convStage) step(sc *Scratch, in *act) *act {
+func (s *convStage[W]) step(sc *Scratch, in *act) *act {
 	h, w := in.shape[1], in.shape[2]
 	s.inHW.Store(int64(h * w))
 	oh := tensor.ConvOutSize(h, s.k, s.stride, s.pad)
 	ow := tensor.ConvOutSize(w, s.k, s.stride, s.pad)
 	out := sc.actBuf3(s.slot, s.outC, oh, ow)
-	p := oh * ow
-	sc.synOps += convScatter(out.data, in.events, s.perChannel, 1, h, w, oh, ow, s.stride, s.pad)
-	for f := 0; f < s.outC; f++ {
-		var b float32
-		if s.bias != nil {
-			b = s.bias[f]
-		}
-		row := out.data[f*p : (f+1)*p]
-		if s.scale != nil {
-			scl, sh := s.scale[f], s.shift[f]
-			for i := range row {
-				row[i] = scl*(row[i]+b) + sh
-			}
-		} else if b != 0 {
-			for i := range row {
-				row[i] += b
-			}
-		}
-	}
-	out.refreshEvents()
+	acc, inv := s.accumulator(sc, out.data, in.events, "conv")
+	sc.synOps += convScatter(acc, in.events, s.perChannel, inv, h, w, oh, ow, s.stride, s.pad)
+	s.apply(sc, out, acc, oh*ow)
 	return out
 }
 
@@ -186,78 +228,36 @@ func linearScatter[W weight](out []W, events []Event, perInput [][]linearEntry[W
 	return ops
 }
 
-// linearStage is an event-driven fully-connected layer with folded BN.
-type linearStage struct {
-	in, out        int
-	perInput       [][]linearEntry[float32]
-	bias           []float32
-	scale, shift   []float32
-	activeSynapses int64
-	slot           int
+// linearStage is an event-driven fully-connected layer over float weights or
+// quantized levels, with its bias and folded BN in the epilogue.
+type linearStage[W weight] struct {
+	epilogue[W]
+	in, out  int
+	perInput [][]linearEntry[W]
+	slot     int
 }
 
-func newLinearStage(l *layers.Linear, bn *layers.BatchNorm, c *compiler) *linearStage {
-	s := &linearStage{in: l.In, out: l.Out, perInput: make([][]linearEntry[float32], l.In), slot: c.actSlot()}
+// newLinearStage builds the synapse table from w, the dense row-major
+// [out, in] weight matrix: its non-zeros grouped by input, in output order.
+func newLinearStage[W weight](l *layers.Linear, w []W, ep epilogue[W], c *compiler) *linearStage[W] {
+	s := &linearStage[W]{epilogue: ep, in: l.In, out: l.Out, perInput: make([][]linearEntry[W], l.In), slot: c.actSlot()}
 	for o := 0; o < l.Out; o++ {
-		for i := 0; i < l.In; i++ {
-			v := l.Weight.W.Data[o*l.In+i]
+		for i, v := range w[o*l.In : (o+1)*l.In] {
 			if v != 0 {
-				s.perInput[i] = append(s.perInput[i], linearEntry[float32]{int32(o), v})
-				s.activeSynapses++
+				s.perInput[i] = append(s.perInput[i], linearEntry[W]{int32(o), v})
 			}
 		}
 	}
-	if l.Bias != nil {
-		s.bias = append([]float32(nil), l.Bias.W.Data...)
-	}
-	if bn != nil {
-		s.scale, s.shift = bnFold(bn)
-	}
 	return s
 }
 
-func (s *linearStage) denseMACs() int64 { return int64(s.in) * int64(s.out) }
+func (s *linearStage[W]) denseMACs() int64 { return int64(s.in) * int64(s.out) }
 
-func (s *linearStage) step(sc *Scratch, in *act) *act {
+func (s *linearStage[W]) step(sc *Scratch, in *act) *act {
 	out := sc.actBuf1(s.slot, s.out)
-	sc.synOps += linearScatter(out.data, in.events, s.perInput, 1)
-	for o := range out.data {
-		var b float32
-		if s.bias != nil {
-			b = s.bias[o]
-		}
-		if s.scale != nil {
-			out.data[o] = s.scale[o]*(out.data[o]+b) + s.shift[o]
-		} else {
-			out.data[o] += b
-		}
-	}
-	out.refreshEvents()
-	return out
-}
-
-// affineStage applies a standalone BN's eval affine.
-type affineStage struct {
-	scale, shift []float32
-	slot         int
-}
-
-func newAffineStage(bn *layers.BatchNorm, c *compiler) *affineStage {
-	s := &affineStage{slot: c.actSlot()}
-	s.scale, s.shift = bnFold(bn)
-	return s
-}
-
-func (s *affineStage) step(sc *Scratch, in *act) *act {
-	out := sc.actBufShape(s.slot, in.shape)
-	chans := len(s.scale)
-	per := len(in.data) / chans
-	for c := 0; c < chans; c++ {
-		for i := 0; i < per; i++ {
-			out.data[c*per+i] = s.scale[c]*in.data[c*per+i] + s.shift[c]
-		}
-	}
-	out.refreshEvents()
+	acc, inv := s.accumulator(sc, out.data, in.events, "linear")
+	sc.synOps += linearScatter(acc, in.events, s.perInput, inv)
+	s.apply(sc, out, acc, 1)
 	return out
 }
 

@@ -99,16 +99,14 @@ func (t *Telemetry) sample() bool {
 // stageKind names a compiled stage for metric labels.
 func stageKind(s stage) string {
 	switch s.(type) {
-	case *convStage:
+	case *convStage[float32]:
 		return "conv"
-	case *qconvStage:
+	case *convStage[int32]:
 		return "qconv"
-	case *linearStage:
+	case *linearStage[float32]:
 		return "linear"
-	case *qlinearStage:
+	case *linearStage[int32]:
 		return "qlinear"
-	case *affineStage:
-		return "affine"
 	case *lifStage:
 		return "lif"
 	case *maxPoolStage:

@@ -15,19 +15,3 @@ func KaimingNormal(t *tensor.Tensor, fanIn int, r *rng.RNG) {
 		t.Data[i] = r.NormFloat32() * std
 	}
 }
-
-// KaimingUniform fills t with U(-b, b), b = sqrt(6/fanIn).
-func KaimingUniform(t *tensor.Tensor, fanIn int, r *rng.RNG) {
-	bound := float32(math.Sqrt(6.0 / float64(fanIn)))
-	for i := range t.Data {
-		t.Data[i] = (2*r.Float32() - 1) * bound
-	}
-}
-
-// XavierNormal fills t with N(0, sqrt(2/(fanIn+fanOut))).
-func XavierNormal(t *tensor.Tensor, fanIn, fanOut int, r *rng.RNG) {
-	std := float32(math.Sqrt(2.0 / float64(fanIn+fanOut)))
-	for i := range t.Data {
-		t.Data[i] = r.NormFloat32() * std
-	}
-}

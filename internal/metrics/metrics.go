@@ -154,11 +154,6 @@ func MeasuredSynOps(denseMACs int64, density float64, e EventStats, timesteps in
 	return SynapticOps(denseMACs, density, e.Occupancy(), timesteps)
 }
 
-// Accuracy is a convenience pair used in result tables.
-type Accuracy struct {
-	Top1 float64
-}
-
 // Confusion builds a confusion matrix from predictions.
 func Confusion(classes int, preds, labels []int) [][]int {
 	m := make([][]int, classes)

@@ -131,9 +131,6 @@ type Config struct {
 	// ErrOverloaded at admission — before it costs queue space or compute
 	// it would only waste. Requests without a deadline are never shed.
 	AdaptiveShed bool
-	// ShedAlpha is the EWMA smoothing factor in (0,1]; larger reacts
-	// faster. 0 defaults to 0.2.
-	ShedAlpha float64
 	// Metrics, when non-nil, attaches telemetry: per-request queue-wait,
 	// batch-assembly and compute histograms, admission-outcome counters, the
 	// realized batch-size distribution, a queue-depth gauge, and sampled
@@ -151,9 +148,9 @@ type Config struct {
 // is set and Config.TraceEvery is zero.
 const DefaultTraceEvery = 8
 
-// DefaultShedAlpha is the queue-wait EWMA smoothing factor used when
-// Config.AdaptiveShed is set and Config.ShedAlpha is zero.
-const DefaultShedAlpha = 0.2
+// shedAlpha is the smoothing factor of the queue-wait EWMA behind
+// Config.AdaptiveShed.
+const shedAlpha = 0.2
 
 // withDefaults normalizes a Config.
 func (c Config) withDefaults() Config {
@@ -168,9 +165,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ShedAlpha <= 0 || c.ShedAlpha > 1 {
-		c.ShedAlpha = DefaultShedAlpha
 	}
 	return c
 }
@@ -374,7 +368,7 @@ func (s *Server) observeWait(wait time.Duration) {
 		s.waitEWMA.Store(w)
 		return
 	}
-	a := s.cfg.ShedAlpha
+	a := shedAlpha
 	s.waitEWMA.Store(int64(a*float64(w) + (1-a)*float64(old)))
 }
 

@@ -1,7 +1,6 @@
 package snn_test
 
 import (
-	"math"
 	"testing"
 
 	"ndsnn/internal/rng"
@@ -69,98 +68,5 @@ func TestHardResetTrainEvalConsistency(t *testing.T) {
 				t.Fatalf("step %d: train/eval outputs differ", step)
 			}
 		}
-	}
-}
-
-func TestPoissonEncoderRateTracksInput(t *testing.T) {
-	r := rng.New(4)
-	enc := &snn.PoissonEncoder{Rng: r}
-	strong := tensor.New(1, 2000)
-	strong.Fill(3) // σ(3) ≈ 0.95
-	weak := tensor.New(1, 2000)
-	weak.Fill(-3) // σ(-3) ≈ 0.05
-	var strongRate, weakRate float64
-	const T = 20
-	for t2 := 0; t2 < T; t2++ {
-		strongRate += enc.Encode(strong, t2).Mean()
-		weakRate += enc.Encode(weak, t2).Mean()
-	}
-	strongRate /= T
-	weakRate /= T
-	if math.Abs(strongRate-0.953) > 0.02 {
-		t.Fatalf("strong input rate = %v, want ~0.95", strongRate)
-	}
-	if math.Abs(weakRate-0.047) > 0.02 {
-		t.Fatalf("weak input rate = %v, want ~0.05", weakRate)
-	}
-}
-
-func TestPoissonEncoderBinaryOutput(t *testing.T) {
-	enc := &snn.PoissonEncoder{Rng: rng.New(5), Gain: 2}
-	x := tensor.New(4, 7)
-	for i := range x.Data {
-		x.Data[i] = float32(i%5) - 2
-	}
-	out := enc.Encode(x, 0)
-	for _, v := range out.Data {
-		if v != 0 && v != 1 {
-			t.Fatalf("non-binary spike %v", v)
-		}
-	}
-}
-
-func TestLatencyEncoderSingleSpikeTiming(t *testing.T) {
-	enc := &snn.LatencyEncoder{T: 4, Lo: 0, Hi: 1}
-	x := tensor.FromSlice([]float32{1.0, 0.6, 0.3, 0.0}, 4)
-	spikeAt := make([]int, 4)
-	for i := range spikeAt {
-		spikeAt[i] = -1
-	}
-	for t2 := 0; t2 < 4; t2++ {
-		out := enc.Encode(x, t2)
-		for i, v := range out.Data {
-			if v == 1 {
-				if spikeAt[i] != -1 {
-					t.Fatalf("input %d spiked twice", i)
-				}
-				spikeAt[i] = t2
-			}
-		}
-	}
-	// Strongest fires first; zero never fires.
-	if spikeAt[0] != 0 {
-		t.Fatalf("strongest input fired at %d, want 0", spikeAt[0])
-	}
-	if spikeAt[3] != -1 {
-		t.Fatalf("zero input fired at %d, want never", spikeAt[3])
-	}
-	if !(spikeAt[0] <= spikeAt[1] && spikeAt[1] <= spikeAt[2]) {
-		t.Fatalf("latency ordering violated: %v", spikeAt)
-	}
-}
-
-func TestNetworkWithPoissonEncoder(t *testing.T) {
-	r := rng.New(6)
-	net := buildTinyNet(3, false, r)
-	net.Encoder = &snn.PoissonEncoder{Rng: rng.New(7)}
-	x := tensor.New(2, 1, 6, 6)
-	for i := range x.Data {
-		x.Data[i] = r.NormFloat32()
-	}
-	outs := net.Forward(x, false)
-	if len(outs) != 3 {
-		t.Fatalf("timestep outputs = %d", len(outs))
-	}
-	// Encoded presentations differ across timesteps (stochastic), unlike
-	// direct encoding — verify indirectly via spike variability.
-	if outs[0].SameShape(outs[1]) {
-		diff := false
-		for i := range outs[0].Data {
-			if outs[0].Data[i] != outs[1].Data[i] {
-				diff = true
-				break
-			}
-		}
-		_ = diff // identical outputs are possible but rare; no hard assert
 	}
 }

@@ -28,9 +28,6 @@ type Network struct {
 	// T is the number of simulation timesteps (the paper uses 5, and 2 for
 	// the small-timestep study of Fig. 4).
 	T int
-	// Encoder transforms the input per timestep; nil means direct
-	// (constant-current) encoding, the paper's configuration.
-	Encoder InputEncoder
 }
 
 // Forward resets temporal state and runs the network time-major through the
@@ -45,12 +42,8 @@ type Network struct {
 func (n *Network) Forward(x *tensor.Tensor, train bool) []*tensor.Tensor {
 	n.ResetState()
 	xs := make([]*tensor.Tensor, n.T)
-	for t := 0; t < n.T; t++ {
-		h := x
-		if n.Encoder != nil {
-			h = n.Encoder.Encode(x, t)
-		}
-		xs[t] = h
+	for t := range xs {
+		xs[t] = x
 	}
 	return tape.Run(tapeLayers(n.Layers), xs, train)
 }

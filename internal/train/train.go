@@ -98,13 +98,11 @@ func (l *Loop) Run() ([]EpochStats, error) {
 		return nil, fmt.Errorf("train: batch size %d", l.BatchSize)
 	}
 	var history []EpochStats
-	params := l.Net.Params()
 	for epoch := 0; epoch < l.Epochs; epoch++ {
 		stats, err := l.RunEpoch(epoch)
 		if err != nil {
 			return history, err
 		}
-		_ = params
 		history = append(history, stats)
 	}
 	return history, nil

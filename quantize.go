@@ -80,9 +80,6 @@ type QuantizedInferenceConfig struct {
 	// when unset. Check QuantInfo.AnalogStages == 0 for the runtime view of
 	// the same claim.
 	FullInteger bool
-	// InputMaxAbs is the activation grid's input range (default 1, the
-	// dataset pixel range).
-	InputMaxAbs float32
 }
 
 // CompileQuantizedInferenceConfig compiles the trained model into the
@@ -94,7 +91,6 @@ func (m *Model) CompileQuantizedInferenceConfig(cfg QuantizedInferenceConfig) (*
 		WeightBits:     cfg.WeightBits,
 		ActivationBits: cfg.ActivationBits,
 		FullInteger:    cfg.FullInteger,
-		InputMaxAbs:    cfg.InputMaxAbs,
 	})
 	if err != nil {
 		return nil, err

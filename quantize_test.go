@@ -204,7 +204,7 @@ func TestCompileQuantizedInferenceFullInteger(t *testing.T) {
 	}
 	for _, r := range rows {
 		switch r.Kind {
-		case "conv", "linear", "avgpool", "affine":
+		case "conv", "linear", "avgpool":
 			if !r.Integer {
 				t.Fatalf("stage %s (%s %s→%s) still analog in a FullInteger engine", r.Name, r.Kind, r.In, r.Out)
 			}

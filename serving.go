@@ -71,9 +71,6 @@ type ServingConfig struct {
 	// ErrServerOverloaded — before they cost queue space or compute that
 	// would be wasted anyway. Requests without a deadline are never shed.
 	AdaptiveShed bool
-	// ShedAlpha is the queue-wait EWMA smoothing factor in (0,1]; larger
-	// reacts faster. 0 defaults to 0.2.
-	ShedAlpha float64
 	// Metrics enables telemetry: request latency histograms, admission
 	// counters, per-stage engine timings and sampled request traces, all
 	// readable via Server.Metrics and Server.MetricsHandler. Off (false) by
@@ -165,7 +162,6 @@ func (m *Model) CompileServer(cfg ServingConfig) (*Server, error) {
 		Workers:      cfg.Workers,
 		InputShape:   inputShape,
 		AdaptiveShed: cfg.AdaptiveShed,
-		ShedAlpha:    cfg.ShedAlpha,
 		Metrics:      reg,
 		TraceEvery:   cfg.TraceEvery,
 	})
