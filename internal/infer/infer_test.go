@@ -111,26 +111,6 @@ func TestEngineMatchesSparseModel(t *testing.T) {
 	assertEquivalent(t, net, eng, ds, 8)
 }
 
-func TestEngineMatchesHardResetModel(t *testing.T) {
-	ds := data.SynthEasy(4, 32, 8, 35)
-	r := rng.New(12)
-	neuron := snn.NeuronConfig{Alpha: 0.5, Threshold: 1, DetachReset: true, HardReset: true}
-	net := &snn.Network{T: 3, Layers: testutil.TinyNet(4, 3, 12).Layers}
-	// Swap LIFs for hard-reset neurons.
-	for i, l := range net.Layers {
-		if _, ok := l.(*snn.LIF); ok {
-			net.Layers[i] = neuron.New()
-		}
-	}
-	_ = r
-	trainBriefly(t, net, ds)
-	eng, err := infer.Compile(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEquivalent(t, net, eng, ds, 4)
-}
-
 func TestSynOpsScaleWithSparsity(t *testing.T) {
 	ds := data.SynthEasy(4, 64, 16, 37)
 	pix := ds.Config.C * ds.Config.H * ds.Config.W

@@ -261,9 +261,9 @@ func (s *linearStage[W]) step(sc *Scratch, in *act) *act {
 	return out
 }
 
-// lifStage replicates the training LIF dynamics (soft or hard reset). The
-// membrane state lives in the request's arena (stateSlot), so concurrent
-// requests carry independent temporal state.
+// lifStage replicates the training LIF dynamics (soft reset). The membrane
+// state lives in the request's arena (stateSlot), so concurrent requests
+// carry independent temporal state.
 type lifStage struct {
 	cfg             snn.NeuronConfig
 	slot, stateSlot int
@@ -275,12 +275,7 @@ func (s *lifStage) step(sc *Scratch, in *act) *act {
 	out := sc.actBufShape(s.slot, in.shape)
 	cfg := s.cfg
 	for i, x := range in.data {
-		var v float32
-		if cfg.HardReset {
-			v = cfg.Alpha*mv[i]*(1-oPrev[i]) + x
-		} else {
-			v = cfg.Alpha*mv[i] + x - cfg.Threshold*oPrev[i]
-		}
+		v := cfg.Alpha*mv[i] + x - cfg.Threshold*oPrev[i]
 		mv[i] = v
 		if v >= cfg.Threshold {
 			out.data[i] = 1

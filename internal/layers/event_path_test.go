@@ -1,6 +1,7 @@
 package layers_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -151,10 +152,11 @@ func TestEventMaxRateGate(t *testing.T) {
 	}
 }
 
-// TestLinearBackwardSeqMatchesPerTimestep pins the fused time-major linear
-// replay (one stacked events SDDMM + one backward-data weight traversal)
-// against T per-timestep Backward calls: input gradients bit-identical,
-// weight/bias gradients within float reordering tolerance.
+// TestLinearBackwardSeqMatchesPerTimestep pins Linear's fused replay —
+// Conv2d's at K = 1: per sample, one events SDDMM and one backward-data
+// weight traversal for all T timesteps — against T per-timestep Backward
+// calls: input gradients bit-identical, weight/bias gradients within float
+// reordering tolerance.
 func TestLinearBackwardSeqMatchesPerTimestep(t *testing.T) {
 	const T, b, in, out = 4, 3, 40, 12
 	for _, rate := range eventRates {
@@ -216,7 +218,9 @@ func TestLinearBackwardSeqMatchesPerTimestep(t *testing.T) {
 
 // TestLinearBackwardSeqFallsBackOnDenseRecords pins the fused path's gate:
 // analog (dense-recorded) timesteps must take the per-timestep fallback and
-// still produce correct gradients.
+// still produce correct gradients. That replay reduces each timestep
+// through Conv2d's parallelGrad exactly as T Backward calls do, so the
+// weight gradients match bit for bit.
 func TestLinearBackwardSeqFallsBackOnDenseRecords(t *testing.T) {
 	const T, b, in, out = 3, 2, 20, 8
 	build := func() *layers.Linear {
@@ -253,6 +257,67 @@ func TestLinearBackwardSeqFallsBackOnDenseRecords(t *testing.T) {
 	})
 	if d := maxDiff(ref.Weight.Grad, l.Weight.Grad); d != 0 {
 		t.Fatalf("dense-record fallback grads differ by %v", d)
+	}
+}
+
+// TestLinearMatchesDenseOracleBitForBit pins Linear bit for bit against the
+// dense oracle at the default gates, over weight density {0.1, 0.9,
+// unmasked} × input {spike rate 0, 0.05, 0.5, 1, analog} × active-position
+// gradients {off, on}: every forward output equals tensor.MatMulABT(x, W) + b
+// and every BackwardSeq input gradient equals tensor.MatMul(dy, W). The
+// matrix covers the event, weight-only CSR and dense forwards and the fused
+// and per-timestep replays; the kernels skip exact zeros, which only drops
+// ±0 terms from sums that start at +0.
+func TestLinearMatchesDenseOracleBitForBit(t *testing.T) {
+	const T, b, in, out = 4, 7, 64, 24
+	const analog = -1.0
+	equalBits := func(label string, got, want *tensor.Tensor) {
+		t.Helper()
+		if !got.SameShape(want) {
+			t.Fatalf("%s: shape %v, want %v", label, got.Shape(), want.Shape())
+		}
+		for i, v := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("%s: element %d is %v, oracle %v", label, i, got.Data[i], v)
+			}
+		}
+	}
+	for di, density := range []float64{0.1, 0.9, 1} {
+		for ri, rate := range []float64{0, 0.05, 0.5, 1, analog} {
+			for _, sparseGrad := range []bool{false, true} {
+				label := fmt.Sprintf("density %v rate %v sparseGrad %v", density, rate, sparseGrad)
+				r := rng.New(1401 + uint64(10*di+ri))
+				l := layers.NewLinear("fc", in, out, true, r)
+				if density < 1 {
+					maskParam(l.Weight, density, r)
+				}
+				l.Weight.SparseGradOK = sparseGrad
+				copy(l.Bias.W.Data, randInput(r, out).Data)
+				xs := make([]*tensor.Tensor, T)
+				dys := make([]*tensor.Tensor, T)
+				for t2 := range xs {
+					if rate == analog {
+						xs[t2] = randInput(r, b, in)
+					} else {
+						xs[t2] = spikeTensor(r, rate, b, in)
+					}
+					dys[t2] = randInput(r, b, out)
+				}
+				ys := tape.Run([]tape.Layer{l}, xs, true)
+				dxs := l.BackwardSeq(dys)
+				if density == 0.1 && rate >= 0 && rate <= 0.05 && l.EventStats().EventForwards == 0 {
+					t.Fatalf("%s: event forward never engaged", label)
+				}
+				for t2, x := range xs {
+					want := tensor.MatMulABT(x, l.Weight.W)
+					for i := range want.Data {
+						want.Data[i] += l.Bias.W.Data[i%out]
+					}
+					equalBits(fmt.Sprintf("%s: y[%d]", label, t2), ys[t2], want)
+					equalBits(fmt.Sprintf("%s: dx[%d]", label, t2), dxs[t2], tensor.MatMul(dys[t2], l.Weight.W))
+				}
+			}
+		}
 	}
 }
 

@@ -5,12 +5,15 @@ import (
 
 	"ndsnn/internal/metrics"
 	"ndsnn/internal/rng"
-	"ndsnn/internal/sparse"
-	"ndsnn/internal/tape"
 	"ndsnn/internal/tensor"
 )
 
 // Linear is a fully-connected layer: y = x·Wᵀ + b for x of shape [B,In].
+//
+// It trains as the 1×1 case of Conv2d: each [B,In] input is viewed as a
+// [B,In,1,1] map and runs through a K=1 convolution that shares Weight and
+// Bias, so the event-driven forward, the tape and its fused replay are the
+// convolution's.
 type Linear struct {
 	In, Out int
 
@@ -18,17 +21,19 @@ type Linear struct {
 	Weight *Param
 	Bias   *Param
 
-	// xs is the layer's BPTT tape: per-timestep inputs, event-encoded when
-	// they are binary spike tensors (see package tape). BackwardSeq replays it.
-	xs     tape.Stack
-	events eventTally
+	// conv owns the layer's tape and event counters.
+	conv Conv2d
 }
 
 // NewLinear constructs a fully-connected layer with Kaiming-normal weights.
 func NewLinear(name string, in, out int, withBias bool, r *rng.RNG) *Linear {
 	w := tensor.New(out, in)
 	KaimingNormal(w, in, r)
-	l := &Linear{In: in, Out: out, Weight: NewParam(name+".w", w)}
+	l := &Linear{
+		In: in, Out: out,
+		Weight: NewParam(name+".w", w),
+		conv:   Conv2d{InC: in, OutC: out, K: 1, Stride: 1},
+	}
 	if withBias {
 		l.Bias = NewParam(name+".b", tensor.New(out))
 		l.Bias.NoDecay = true
@@ -37,54 +42,37 @@ func NewLinear(name string, in, out int, withBias bool, r *rng.RNG) *Linear {
 	return l
 }
 
-// Forward computes one timestep: y = x·Wᵀ (+ bias).
-//
-// Like Conv2d, a CSR-encoded weight combined with a binary spike input below
-// EventMaxRate occupancy takes the dual-sparse event-driven path (each
-// incoming spike scatter-adds one CSC weight column); analog or dense-weight
-// inputs use the weight-only CSR or dense GEMM. All paths are bit-identical.
-// During training the input is recorded on the layer's tape, event-encoded
-// when binary.
+// asConv returns the 1×1 convolution pointed at the current Weight and
+// Bias, so a caller that replaces either Param is followed.
+func (l *Linear) asConv() *Conv2d {
+	l.conv.Weight, l.conv.Bias = l.Weight, l.Bias
+	return &l.conv
+}
+
+// Forward computes one timestep: the T=1 case of ForwardSeq.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.NumDims() != 2 || x.Dim(1) != l.In {
-		panic(fmt.Sprintf("layers: %s expects [B,%d] input, got %v", l.Weight.Name, l.In, x.Shape()))
-	}
-	var out *tensor.Tensor
-	var tally metrics.EventStats
-	tally.Forwards = int64(x.Dim(0))
-	if wcsr := l.Weight.SparseW(); wcsr != nil {
-		if ev, ok := sparse.EncodeEvents(x); ok {
-			tally.Entries = int64(x.Size())
-			tally.ActiveEntries = int64(ev.NNZ())
-			// The maxRate > 0 guard keeps EventMaxRate=0 a true kill
-			// switch even for all-zero (occupancy 0) inputs.
-			if maxRate := EventMaxRate; maxRate > 0 && ev.Occupancy() <= maxRate {
-				out = tensor.New(x.Dim(0), l.Out)
-				sparse.MatMulEventsCSCInto(out, ev, l.Weight.SparseWCSC(), false)
-				tally.EventForwards = tally.Forwards
-			}
+	return l.ForwardSeq([]*tensor.Tensor{x}, train)[0]
+}
+
+// ForwardSeq computes y = x·Wᵀ (+ bias) for all T timesteps through
+// Conv2d.ForwardSeq: a sample whose inputs are binary at every timestep
+// with fused occupancy at most EventMaxRate takes the event-driven path
+// against a CSR weight, any other sample the weight-only CSR or dense GEMM.
+// All paths are bit-identical. During training the [B,In,1,1] views are
+// recorded on the tape, event-encoded when binary.
+func (l *Linear) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
+	views := make([]*tensor.Tensor, len(xs))
+	for t, x := range xs {
+		if x.NumDims() != 2 || x.Dim(1) != l.In {
+			panic(fmt.Sprintf("layers: %s expects [B,%d] input, got %v", l.Weight.Name, l.In, x.Shape()))
 		}
-		if out == nil {
-			out = tensor.New(x.Dim(0), l.Out)
-			sparse.MatMulDenseCSRTInto(out, x, wcsr, false)
-		}
-	} else {
-		out = tensor.MatMulABT(x, l.Weight.W)
+		views[t] = x.Reshape(x.Dim(0), l.In, 1, 1)
 	}
-	l.events.add(tally)
-	if l.Bias != nil {
-		b := x.Dim(0)
-		for bi := 0; bi < b; bi++ {
-			row := out.Data[bi*l.Out : (bi+1)*l.Out]
-			for j := range row {
-				row[j] += l.Bias.W.Data[j]
-			}
-		}
+	ys := l.asConv().ForwardSeq(views, train)
+	for t, y := range ys {
+		ys[t] = y.Reshape(y.Dim(0), l.Out)
 	}
-	if train {
-		l.xs.Push(x)
-	}
-	return out
+	return ys
 }
 
 // Backward accumulates dW += dyᵀ·x and db += Σ_b dy for the most recent
@@ -93,104 +81,29 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return l.BackwardSeq([]*tensor.Tensor{dy})[0]
 }
 
-// BackwardSeq replays the tape for the last T recorded timesteps, given their
-// output gradients dys[0..T-1], mirroring Conv2d.BackwardSeq. When every
-// record is event-encoded, the weight is CSR and active-position-only
-// gradients are armed, the T recorded spike patterns are row-stacked into one
-// [T·B, In] pattern (sparse.StackTimesteps: timesteps become extra batch
-// samples) and consumed by ONE events SDDMM against the row-stacked dy, and
-// backward-data likewise pays a single weight traversal for all T timesteps.
-// Otherwise the timesteps replay newest first over the materialized record:
-// the sparse path chooses between the column-strided reference and the
-// blocked/transposed SDDMM by layer width (gradATBTransposeMinCols), and
-// dense weight gradients (growth batches, unmasked layers) take dyᵀ·x. Input
-// gradients are identical on both paths; the fused one accumulates weight
-// and bias gradients over the timesteps in ascending instead of descending
-// order (float rounding only).
+// BackwardSeq replays the tape for the last T recorded timesteps, given
+// their [B,Out] output gradients, through Conv2d.BackwardSeq: the fused
+// event replay when every record is event-encoded, the weight is CSR and
+// active-position-only gradients are armed, the per-timestep replay
+// otherwise. It returns the [B,In] input gradient of every timestep.
 func (l *Linear) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
-	T := len(dys)
-	recs := make([]tape.Rec, T)
-	for t := T - 1; t >= 0; t-- {
-		recs[t] = l.xs.Pop()
+	views := make([]*tensor.Tensor, len(dys))
+	for t, dy := range dys {
+		views[t] = dy.Reshape(dy.Dim(0), l.Out, 1, 1)
 	}
-	wcsr := l.Weight.SparseW()
-	sparseGrad := wcsr != nil && l.Weight.SparseGradOK
-	fused := sparseGrad && T > 0
-	for _, rec := range recs {
-		fused = fused && rec.IsEvents()
-	}
-	dxs := make([]*tensor.Tensor, T)
-	if fused {
-		evs := make([]*sparse.Events, T)
-		for t, rec := range recs {
-			evs[t] = rec.Events()
-		}
-		b := dys[0].Dim(0)
-		dyS := tensor.New(T*b, l.Out)
-		for t, dy := range dys {
-			copy(dyS.Data[t*b*l.Out:(t+1)*b*l.Out], dy.Data)
-		}
-		vals := make([]float32, wcsr.NNZ())
-		sparse.CSRGradATBEventsInto(vals, wcsr, dyS, sparse.StackTimesteps(evs))
-		sparse.AddValsInto(l.Weight.Grad, wcsr, vals)
-		l.addBiasGrad(dyS)
-		// One weight traversal serves every timestep's input gradient; the
-		// per-timestep views alias disjoint slices of the stacked result.
-		dxS := l.backwardData(dyS, wcsr)
-		for t := range dxs {
-			dxs[t] = tensor.FromSlice(dxS.Data[t*b*l.In:(t+1)*b*l.In], b, l.In)
-		}
-		return dxs
-	}
-	for t := T - 1; t >= 0; t-- {
-		// Materialize decodes an event record transiently, one timestep at
-		// a time, so peak cache memory stays at the event-encoded level.
-		dy, x := dys[t], recs[t].Materialize()
-		if sparseGrad {
-			vals := make([]float32, wcsr.NNZ())
-			if wcsr.Cols >= gradATBTransposeMinCols {
-				sparse.CSRGradATBTransposedInto(vals, wcsr, dy, x)
-			} else {
-				sparse.CSRGradATBInto(vals, wcsr, dy, x)
-			}
-			sparse.AddValsInto(l.Weight.Grad, wcsr, vals)
-		} else {
-			tensor.MatMulATBInto(l.Weight.Grad, dy, x, true)
-		}
-		l.addBiasGrad(dy)
-		dxs[t] = l.backwardData(dy, wcsr)
+	dxs := l.asConv().BackwardSeq(views)
+	for t, dx := range dxs {
+		dxs[t] = dx.Reshape(dx.Dim(0), l.In)
 	}
 	return dxs
 }
 
-// addBiasGrad adds every row of dy into the bias gradient.
-func (l *Linear) addBiasGrad(dy *tensor.Tensor) {
-	if l.Bias == nil {
-		return
-	}
-	for i := 0; i < dy.Dim(0); i++ {
-		for j, v := range dy.Data[i*l.Out : (i+1)*l.Out] {
-			l.Bias.Grad.Data[j] += v
-		}
-	}
-}
-
-// backwardData returns dx = dy·W, through wcsr when the weight is CSR-encoded.
-func (l *Linear) backwardData(dy *tensor.Tensor, wcsr *sparse.CSR) *tensor.Tensor {
-	if wcsr != nil {
-		dx := tensor.New(dy.Dim(0), l.In)
-		sparse.MatMulDenseCSRInto(dx, dy, wcsr, false)
-		return dx
-	}
-	return tensor.MatMul(dy, l.Weight.W)
-}
-
 // EventStats returns the event-driven fast-path counters accumulated since
 // the last ResetEventStats.
-func (l *Linear) EventStats() metrics.EventStats { return l.events.snapshot() }
+func (l *Linear) EventStats() metrics.EventStats { return l.conv.EventStats() }
 
 // ResetEventStats zeroes the event-path counters.
-func (l *Linear) ResetEventStats() { l.events.reset() }
+func (l *Linear) ResetEventStats() { l.conv.ResetEventStats() }
 
 // Params returns the weight and optional bias.
 func (l *Linear) Params() []*Param {
@@ -201,4 +114,4 @@ func (l *Linear) Params() []*Param {
 }
 
 // Reset drops cached timesteps.
-func (l *Linear) Reset() { l.xs.Clear() }
+func (l *Linear) Reset() { l.conv.Reset() }

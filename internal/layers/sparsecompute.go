@@ -35,17 +35,6 @@ var CSRMaxDensity = 0.5
 // path (0 disables the event path, 1 takes it for any binary input).
 var EventMaxRate = 0.3
 
-// gradATBTransposeMinCols is the linear-layer width (input features) at and
-// above which the sparse backward-weight SDDMM uses the blocked/transposed
-// kernel (sparse.CSRGradATBTransposedInto) instead of the column-strided
-// reference. The transposed variant pays an O(batch·(Out+In)) operand
-// transpose to make every per-position dot product stream two contiguous
-// rows; on wide layers the strided walk misses cache badly enough that the
-// transpose amortizes almost immediately, while on narrow layers it is pure
-// overhead. A tape whose every record is event-encoded bypasses the choice
-// — its fused replay feeds the event kernel.
-const gradATBTransposeMinCols = 128
-
 // SparseW returns the cached CSR encoding of the parameter's weight matrix
 // (reshaped to [Dim(0), Size/Dim(0)] — one row per output unit/filter), with
 // values freshly gathered from W. It returns nil when the parameter is

@@ -13,12 +13,9 @@ import (
 // pattern is *shared* with the float CSR it was quantized from (RowPtr and
 // ColIdx alias the source arrays — one row per output channel/filter, the
 // same [F, C·Kh·Kw] reshape as layers.Param's cached encoding); only the
-// value storage changes:
-//
-//   - Bits ≤ 8: one int8 level per stored synapse (Q). At exactly 4 bits the
-//     deployment layout additionally packs two levels per byte (Packed),
-//     which is what the memory accounting reports.
-//   - Bits 9–16: one int16 level per synapse (Q16).
+// value storage changes, to one integer level per stored synapse (Levels).
+// The deployed value size is computed from Bits (PackedValueBytes): two
+// levels per byte at 4 bits, one byte up to 8 bits, two bytes above.
 //
 // Scales are powers of two (Po2Scale), per output channel by default, so
 // dequantization level·scale is exact in float32 and hardware requantizes
@@ -33,13 +30,9 @@ type QCSR struct {
 	// RowPtr/ColIdx alias the source CSR's index arrays (shared pattern).
 	RowPtr []int32
 	ColIdx []int32
-	// Q holds one quantized level per stored synapse when Bits ≤ 8.
-	Q []int8
-	// Q16 holds the levels when Bits ≥ 9.
-	Q16 []int16
-	// Packed is the two-levels-per-byte deployment layout, present only when
-	// Bits == 4 (low nibble = even entry, high nibble = odd entry).
-	Packed []byte
+	// Levels holds one quantized level per stored synapse, aligned with
+	// ColIdx.
+	Levels []int16
 	// Scales has Rows entries (PerChannel) or one (per-tensor), every entry a
 	// power of two or zero (all-zero row).
 	Scales []float32
@@ -97,22 +90,10 @@ func QuantizeCSR(c *sparse.CSR, bits int, perChannel bool) (*QCSR, error) {
 		}
 		return l
 	}
-	if bits <= 8 {
-		q.Q = make([]int8, c.NNZ())
-		for r := 0; r < c.Rows; r++ {
-			for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
-				q.Q[p] = int8(quantize(r, c.Val[p]))
-			}
-		}
-		if bits == 4 {
-			q.Packed = PackInt4(q.Q)
-		}
-	} else {
-		q.Q16 = make([]int16, c.NNZ())
-		for r := 0; r < c.Rows; r++ {
-			for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
-				q.Q16[p] = int16(quantize(r, c.Val[p]))
-			}
+	q.Levels = make([]int16, c.NNZ())
+	for r := 0; r < c.Rows; r++ {
+		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
+			q.Levels[p] = int16(quantize(r, c.Val[p]))
 		}
 	}
 	return q, nil
@@ -135,12 +116,7 @@ func maxAbsRange(vals []float32) float32 {
 func (q *QCSR) NNZ() int { return len(q.ColIdx) }
 
 // Level returns the quantized integer level of stored entry p.
-func (q *QCSR) Level(p int) int32 {
-	if q.Q16 != nil {
-		return int32(q.Q16[p])
-	}
-	return int32(q.Q[p])
-}
+func (q *QCSR) Level(p int) int32 { return int32(q.Levels[p]) }
 
 // RowScale returns the dequantization scale for row r (the per-tensor scale
 // when PerChannel is false).
@@ -171,17 +147,19 @@ func (q *QCSR) Dequantize() *sparse.CSR {
 }
 
 // PackedValueBytes returns the deployed byte count of the value storage
-// alone: ⌈nnz/2⌉ at 4 bits (two per byte), nnz at 5–8 bits, 2·nnz at 9–16
-// bits. Indices and scales are accounted separately (MemoryBits) because
-// the float engine pays them identically.
+// alone, computed from Bits: ⌈nnz/2⌉ at 4 bits (two per byte), nnz at the
+// other widths up to 8 bits, 2·nnz at 9–16 bits. Indices and scales are
+// accounted separately (MemoryBits) because the float engine pays them
+// identically.
 func (q *QCSR) PackedValueBytes() int64 {
+	n := int64(q.NNZ())
 	switch {
-	case q.Packed != nil:
-		return int64(len(q.Packed))
-	case q.Q16 != nil:
-		return 2 * int64(q.NNZ())
+	case q.Bits == 4:
+		return (n + 1) / 2
+	case q.Bits <= 8:
+		return n
 	default:
-		return int64(q.NNZ())
+		return 2 * n
 	}
 }
 
@@ -193,38 +171,4 @@ func (q *QCSR) MemoryBits(idxBits int) int64 {
 		int64(q.NNZ())*int64(idxBits) +
 		int64(q.Rows+1)*int64(idxBits) +
 		int64(len(q.Scales))*32
-}
-
-// PackInt4 packs signed 4-bit levels (each in [-7,7]) two per byte: entry 2i
-// in the low nibble of byte i, entry 2i+1 in the high nibble. An odd count
-// leaves the final high nibble zero. Levels outside the 4-bit range panic —
-// they indicate quantization at the wrong width, not recoverable input.
-func PackInt4(q []int8) []byte {
-	out := make([]byte, (len(q)+1)/2)
-	for i, v := range q {
-		if v < -7 || v > 7 {
-			panic(fmt.Sprintf("quant: level %d at entry %d outside int4 range", v, i))
-		}
-		nib := byte(v) & 0xF
-		if i%2 == 0 {
-			out[i/2] = nib
-		} else {
-			out[i/2] |= nib << 4
-		}
-	}
-	return out
-}
-
-// UnpackInt4 reverses PackInt4, returning the first n sign-extended levels.
-func UnpackInt4(packed []byte, n int) []int8 {
-	out := make([]int8, n)
-	for i := range out {
-		b := packed[i/2]
-		if i%2 == 0 {
-			out[i] = int8(b<<4) >> 4
-		} else {
-			out[i] = int8(b) >> 4
-		}
-	}
-	return out
 }

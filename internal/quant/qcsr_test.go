@@ -47,33 +47,6 @@ func TestPo2ScaleProperties(t *testing.T) {
 	}
 }
 
-func TestPackInt4RoundTrip(t *testing.T) {
-	r := rng.New(7)
-	for trial := 0; trial < 100; trial++ {
-		n := int(r.Float64()*33) + 1 // 1..33, both parities
-		q := make([]int8, n)
-		for i := range q {
-			q[i] = int8(r.Float64()*15) - 7 // [-7, 7]
-		}
-		packed := PackInt4(q)
-		if len(packed) != (n+1)/2 {
-			t.Fatalf("packed %d levels into %d bytes, want %d", n, len(packed), (n+1)/2)
-		}
-		got := UnpackInt4(packed, n)
-		for i := range q {
-			if got[i] != q[i] {
-				t.Fatalf("trial %d entry %d: %d → pack → unpack → %d", trial, i, q[i], got[i])
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range level accepted by PackInt4")
-		}
-	}()
-	PackInt4([]int8{8})
-}
-
 func TestQuantizeCSRGridAndSharing(t *testing.T) {
 	r := rng.New(11)
 	c := randomCSR(24, 40, 0.3, r)

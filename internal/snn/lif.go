@@ -2,7 +2,6 @@ package snn
 
 import (
 	"ndsnn/internal/layers"
-	"ndsnn/internal/tape"
 	"ndsnn/internal/tensor"
 )
 
@@ -16,10 +15,6 @@ type NeuronConfig struct {
 	// DetachReset stops gradients from flowing through the reset term
 	// (the usual stabilization in surrogate-gradient training).
 	DetachReset bool
-	// HardReset switches from the paper's soft (subtractive) reset to a
-	// multiplicative reset v[t] = α·v[t-1]·(1-o[t-1]) + I[t], the other
-	// common LIF formulation (e.g. SpikingJelly's default).
-	HardReset bool
 	// Surrogate is the Heaviside-derivative approximation; nil means ATan.
 	Surrogate Surrogate
 }
@@ -64,10 +59,6 @@ type LIF struct {
 	v     *tensor.Tensor // membrane potential after the current timestep
 	oPrev *tensor.Tensor // previous timestep's spikes (for the reset term)
 	vs    []*tensor.Tensor
-	// os tapes the per-timestep outputs needed by the hard-reset backward;
-	// spiking-mode outputs are binary and get event-encoded (~spikeRate of
-	// the dense footprint), smooth-mode outputs stay dense automatically.
-	os    tape.Stack
 	gNext *tensor.Tensor // ε[t+1] carried between Backward calls
 
 	spikeSum   float64
@@ -86,16 +77,10 @@ func (l *LIF) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
 	vd, od, xd := vNew.Data, out.Data, x.Data
 	pv, po := l.v.Data, l.oPrev.Data
-	integrate := func(i int) float32 {
-		if cfg.HardReset {
-			return cfg.Alpha*pv[i]*(1-po[i]) + xd[i]
-		}
-		return cfg.Alpha*pv[i] + xd[i] - cfg.Threshold*po[i]
-	}
 	var sum float64
 	if l.Smooth {
 		for i := range xd {
-			v := integrate(i)
+			v := cfg.Alpha*pv[i] + xd[i] - cfg.Threshold*po[i]
 			vd[i] = v
 			o := sur.Primitive(v - cfg.Threshold)
 			od[i] = o
@@ -103,7 +88,7 @@ func (l *LIF) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 	} else {
 		for i := range xd {
-			v := integrate(i)
+			v := cfg.Alpha*pv[i] + xd[i] - cfg.Threshold*po[i]
 			vd[i] = v
 			if v >= cfg.Threshold {
 				od[i] = 1
@@ -117,9 +102,6 @@ func (l *LIF) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.oPrev = out
 	if train {
 		l.vs = append(l.vs, vNew)
-		if cfg.HardReset {
-			l.os.Push(out)
-		}
 	}
 	return out
 }
@@ -139,33 +121,17 @@ func (l *LIF) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if l.gNext != nil && l.gNext.Size() == dy.Size() {
 		gn = l.gNext.Data
 	}
-	var od []float32
-	if cfg.HardReset {
-		if l.os.Len() == 0 {
-			panic("snn: hard-reset LIF missing cached outputs")
-		}
-		od = l.os.Pop().Materialize().Data
-	}
 	for i := range dyd {
 		do := dyd[i]
 		var next float32
 		if gn != nil {
 			next = gn[i]
 		}
-		decay := cfg.Alpha
-		if cfg.HardReset {
-			// v[t+1] = α·v[t]·(1-o[t]) + I[t+1]: the membrane path decays
-			// by α(1-o[t]) and, when the reset is not detached, o[t]
-			// additionally receives -α·v[t]·ε[t+1].
-			decay *= 1 - od[i]
-			if !cfg.DetachReset {
-				do -= cfg.Alpha * vd[i] * next
-			}
-		} else if !cfg.DetachReset {
+		if !cfg.DetachReset {
 			do -= cfg.Threshold * next
 		}
 		phi := sur.Grad(vd[i] - cfg.Threshold)
-		gd[i] = do*phi + decay*next
+		gd[i] = do*phi + cfg.Alpha*next
 	}
 	l.gNext = g
 	return g
@@ -179,7 +145,6 @@ func (l *LIF) Reset() {
 	l.v = nil
 	l.oPrev = nil
 	l.vs = nil
-	l.os.Clear()
 	l.gNext = nil
 }
 

@@ -17,21 +17,21 @@ import (
 
 // The acceptance property of the time-major tape engine: forward outputs and
 // every parameter gradient must reproduce recorded golden fixtures within
-// 1e-5, across sparse-gradient modes, cache encodings (dense and event),
-// architectures (sequential and residual) and neuron variants (soft and hard
-// reset). The fixtures were recorded from the step-major dense-cache loop —
-// the original reference engine, deleted once these goldens pinned its
-// behavior. Re-record with -update only after an intentional numeric change
-// (that records from the current dense-cache time-major engine).
+// 1e-5, across sparse-gradient modes, cache encodings (dense and event) and
+// architectures (sequential and residual), with the final Linear replayed
+// as Conv2d's 1×1 case. The fixtures were recorded from the step-major
+// dense-cache loop — the original reference engine, deleted once these
+// goldens pinned its behavior. Re-record with -update only after an
+// intentional numeric change (that records from the current dense-cache
+// time-major engine).
 
-// buildEquivNet constructs a masked spiking stack deterministically from
-// seed. kind is "plain", "residual" or "wide"; hardReset switches the LIF
-// variant. In "wide", c2's dense weight gradient is larger than the conv
-// backward's partial-gradient budget, so its samples are reduced in windows.
-func buildEquivNet(seed uint64, kind string, hardReset bool) *snn.Network {
+// buildEquivNet constructs a masked spiking stack of soft-reset LIF neurons
+// deterministically from seed. kind is "plain", "residual" or "wide". In
+// "wide", c2's dense weight gradient is larger than the conv backward's
+// partial-gradient budget, so its samples are reduced in windows.
+func buildEquivNet(seed uint64, kind string) *snn.Network {
 	r := rng.New(seed)
 	neuron := snn.DefaultNeuron()
-	neuron.HardReset = hardReset
 	mask := func(p *layers.Param, density float64, mr *rng.RNG) {
 		p.Mask = tensor.New(p.W.Shape()...)
 		for i := range p.Mask.Data {
@@ -123,12 +123,8 @@ func runEquivNet(net *snn.Network, seed uint64, sparseGrad bool) ([]*tensor.Tens
 	return outs, grads
 }
 
-func equivFixturePath(kind string, hardReset bool) string {
-	reset := "soft"
-	if hardReset {
-		reset = "hard"
-	}
-	return filepath.Join("testdata", fmt.Sprintf("tape_equiv_%s_%s.json", kind, reset))
+func equivFixturePath(kind string) string {
+	return filepath.Join("testdata", fmt.Sprintf("tape_equiv_%s_soft.json", kind))
 }
 
 // equivTensors names one run's results for fixture storage: outputs by
@@ -173,44 +169,42 @@ func TestTapeMatchesGoldenFixtures(t *testing.T) {
 
 	const seed = uint64(97)
 	for _, kind := range []string{"plain", "residual"} {
-		for _, hardReset := range []bool{false, true} {
-			path := equivFixturePath(kind, hardReset)
-			if testutil.UpdateFixtures() {
+		path := equivFixturePath(kind)
+		if testutil.UpdateFixtures() {
+			old := tape.CacheEvents
+			tape.CacheEvents = false
+			net := buildEquivNet(seed, kind)
+			outs, grads := runEquivNet(net, seed, false)
+			tape.CacheEvents = old
+			testutil.WriteFixture(t, path,
+				"dense-cache reference run of buildEquivNet(seed 97): per-timestep outputs and parameter gradients (originally recorded from the step-major loop, since deleted)",
+				equivTensors(outs, grads, net.Params()))
+			for _, p := range net.Params() {
+				p.InvalidateCSR()
+			}
+		}
+		want := testutil.ReadFixture(t, path)
+
+		// Every engine mode must agree with the same golden: dense and
+		// event-encoded caches, dense and active-position-only gradients.
+		// Sparse-grad mode skips masked-out positions entirely (they stay
+		// zero), so it is compared against the mask-projected fixture —
+		// equivalence at every position the mode promises to compute.
+		for _, sparseGrad := range []bool{false, true} {
+			for _, events := range []bool{false, true} {
+				label := fmt.Sprintf("%s/sparseGrad=%v/events=%v", kind, sparseGrad, events)
 				old := tape.CacheEvents
-				tape.CacheEvents = false
-				net := buildEquivNet(seed, kind, hardReset)
-				outs, grads := runEquivNet(net, seed, false)
+				tape.CacheEvents = events
+				net := buildEquivNet(seed, kind)
+				outs, grads := runEquivNet(net, seed, sparseGrad)
 				tape.CacheEvents = old
-				testutil.WriteFixture(t, path,
-					"dense-cache reference run of buildEquivNet(seed 97): per-timestep outputs and parameter gradients (originally recorded from the step-major loop, since deleted)",
-					equivTensors(outs, grads, net.Params()))
+				ref := want
+				if sparseGrad {
+					ref = maskGrads(want, net.Params())
+				}
+				testutil.CompareFixture(t, label, ref, equivTensors(outs, grads, net.Params()), 1e-5)
 				for _, p := range net.Params() {
 					p.InvalidateCSR()
-				}
-			}
-			want := testutil.ReadFixture(t, path)
-
-			// Every engine mode must agree with the same golden: dense and
-			// event-encoded caches, dense and active-position-only gradients.
-			// Sparse-grad mode skips masked-out positions entirely (they stay
-			// zero), so it is compared against the mask-projected fixture —
-			// equivalence at every position the mode promises to compute.
-			for _, sparseGrad := range []bool{false, true} {
-				for _, events := range []bool{false, true} {
-					label := fmt.Sprintf("%s/hard=%v/sparseGrad=%v/events=%v", kind, hardReset, sparseGrad, events)
-					old := tape.CacheEvents
-					tape.CacheEvents = events
-					net := buildEquivNet(seed, kind, hardReset)
-					outs, grads := runEquivNet(net, seed, sparseGrad)
-					tape.CacheEvents = old
-					ref := want
-					if sparseGrad {
-						ref = maskGrads(want, net.Params())
-					}
-					testutil.CompareFixture(t, label, ref, equivTensors(outs, grads, net.Params()), 1e-5)
-					for _, p := range net.Params() {
-						p.InvalidateCSR()
-					}
 				}
 			}
 		}
@@ -230,7 +224,7 @@ func TestGradientsIndependentOfGOMAXPROCS(t *testing.T) {
 	const seed = uint64(97)
 	run := func(procs int, kind string, sparseGrad bool) []*tensor.Tensor {
 		runtime.GOMAXPROCS(procs)
-		outs, grads := runEquivNet(buildEquivNet(seed, kind, false), seed, sparseGrad)
+		outs, grads := runEquivNet(buildEquivNet(seed, kind), seed, sparseGrad)
 		return append(outs, grads...)
 	}
 	for _, kind := range []string{"plain", "residual", "wide"} {
@@ -268,7 +262,7 @@ func TestTapeCachesAreEventEncoded(t *testing.T) {
 		old := tape.CacheEvents
 		tape.CacheEvents = events
 		defer func() { tape.CacheEvents = old }()
-		net := buildEquivNet(seed, "plain", false)
+		net := buildEquivNet(seed, "plain")
 		base := tape.CacheBytes()
 		r := rng.New(seed * 13)
 		x := tensor.New(3, 3, 6, 6)

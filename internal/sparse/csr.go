@@ -100,20 +100,3 @@ func (c *CSR) NNZ() int { return len(c.Val) }
 func (c *CSR) MemoryBits(weightBits, idxBits int) int64 {
 	return int64(c.NNZ())*int64(weightBits+idxBits) + int64(c.Rows+1)*int64(idxBits)
 }
-
-// MatVec computes y = A·x for the CSR matrix, the event-driven inference
-// primitive: only stored synapses contribute.
-func (c *CSR) MatVec(x []float32) []float32 {
-	if len(x) != c.Cols {
-		panic("sparse: CSR.MatVec dimension mismatch")
-	}
-	y := make([]float32, c.Rows)
-	for r := 0; r < c.Rows; r++ {
-		var s float32
-		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
-			s += c.Val[p] * x[c.ColIdx[p]]
-		}
-		y[r] = s
-	}
-	return y
-}

@@ -48,20 +48,11 @@ func (e *Events) ScatterRowInto(r int, dst []float32, v float32) {
 // RowNNZ returns the number of active entries in row r.
 func (e *Events) RowNNZ(r int) int { return int(e.RowPtr[r+1] - e.RowPtr[r]) }
 
-// Occupancy returns the fraction of entries that are active — the measured
-// spike rate of the encoded tensor.
-func (e *Events) Occupancy() float64 {
-	if e.Rows*e.Cols == 0 {
-		return 0
-	}
-	return float64(e.NNZ()) / float64(e.Rows*e.Cols)
-}
-
-// EncodeEvents extracts the event pattern of a 2-D binary tensor. It returns
-// ok=false (with a nil pattern) as soon as it sees a value outside {0,1} —
-// the caller then knows the input is analog and falls back to a dense-operand
-// kernel. The scan is O(rows·cols); a conv layer's im2col pattern is built
-// from the spike positions instead (tensor.Im2ColPatternFromEvents).
+// EncodeEvents extracts the event pattern of a 2-D binary tensor, the form
+// the tape records spike inputs in. It returns ok=false (with a nil pattern)
+// as soon as it sees a value outside {0,1}: the input is analog and the
+// caller keeps it dense. The scan is O(rows·cols); a layer's im2col pattern
+// is built from the spike positions instead (tensor.Im2ColPatternFromEvents).
 func EncodeEvents(t *tensor.Tensor) (*Events, bool) {
 	rows, cols := dims2(t, "EncodeEvents")
 	e := &Events{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1)}
@@ -190,45 +181,6 @@ func FuseTimesteps(evs []*Events) *Events {
 	return f
 }
 
-// StackTimesteps concatenates the event patterns of T same-shaped binary
-// matrices along the *row* dimension: the result has T·Rows rows, timestep
-// t's sample i at row t·Rows+i, columns unchanged. Where FuseTimesteps
-// column-concatenates (one weight traversal serves T *outputs*, the forward
-// fusion), StackTimesteps row-concatenates — timesteps become extra batch
-// samples, which is the backward fusion for batch-major kernels:
-// CSRGradATBEventsInto over the stacked pattern and the row-stacked dy
-// computes all T timestep gradients in one weight-pattern traversal, and one
-// MatMulDenseCSRInto over the stacked dy yields every timestep's input
-// gradient in one weight traversal. The merge is O(total events).
-func StackTimesteps(evs []*Events) *Events {
-	if len(evs) == 0 {
-		return &Events{}
-	}
-	rows, cols := evs[0].Rows, evs[0].Cols
-	total := 0
-	for _, ev := range evs {
-		if ev.Rows != rows || ev.Cols != cols {
-			panic(fmt.Sprintf("sparse: StackTimesteps shape [%d,%d] vs [%d,%d]", ev.Rows, ev.Cols, rows, cols))
-		}
-		total += ev.NNZ()
-	}
-	s := &Events{
-		Rows:   len(evs) * rows,
-		Cols:   cols,
-		RowPtr: make([]int32, len(evs)*rows+1),
-		ColIdx: make([]int32, 0, total),
-	}
-	r := 0
-	for _, ev := range evs {
-		for q := 0; q < rows; q++ {
-			s.ColIdx = append(s.ColIdx, ev.ColIdx[ev.RowPtr[q]:ev.RowPtr[q+1]]...)
-			r++
-			s.RowPtr[r] = int32(len(s.ColIdx))
-		}
-	}
-	return s
-}
-
 // CSRGradABTEventsSerial is CSRGradABTSerial with the b operand given as the
 // event pattern of a binary matrix — the tape-replay form of the conv weight
 // gradient: vals[p] += Σ_j a[r,j]·b[c,j] degenerates to accumulating a[r,j]
@@ -268,77 +220,11 @@ func CSRGradABTEventsSerial(vals []float32, pattern *CSR, a *tensor.Tensor, evB 
 	}
 }
 
-// CSRGradATBEventsInto is CSRGradATBInto with the b operand given as the
-// event pattern of a binary matrix — the tape-replay form of the linear
-// weight gradient: vals[p] += Σ_i a[i,r]·b[i,c] becomes a gather of a's
-// column r over the samples that spiked at feature c. The kernel
-// column-compresses the event pattern (which samples spiked at each feature)
-// and transposes a once, so the inner loop reads one contiguous a row with
-// O(spikes-at-c) indexed gathers. a is [batch, pattern.Rows]; evB is
-// [batch, pattern.Cols]. Parallelized over pattern rows.
-func CSRGradATBEventsInto(vals []float32, pattern *CSR, a *tensor.Tensor, evB *Events) {
-	ab, m := dims2(a, "CSRGradATBEvents a")
-	if evB.Rows != ab {
-		panic(fmt.Sprintf("sparse: CSRGradATBEvents batch dims %d vs %d", ab, evB.Rows))
-	}
-	if m != pattern.Rows || evB.Cols != pattern.Cols {
-		panic(fmt.Sprintf("sparse: CSRGradATBEvents operands [%d,%d]/[%d,%d] vs pattern [%d,%d]", ab, m, evB.Rows, evB.Cols, pattern.Rows, pattern.Cols))
-	}
-	if len(vals) != pattern.NNZ() {
-		panic(fmt.Sprintf("sparse: CSRGradATBEvents vals length %d, want %d", len(vals), pattern.NNZ()))
-	}
-	ad := a.Data
-	aT := make([]float32, m*ab)
-	for i := 0; i < ab; i++ {
-		for r := 0; r < m; r++ {
-			aT[r*ab+i] = ad[i*m+r]
-		}
-	}
-	// Column-compress the events: colPtr/sampleIdx list, per feature c, the
-	// ascending sample indices that spiked at c (a counting sort, O(nnz)).
-	k := evB.Cols
-	colPtr := make([]int32, k+1)
-	for _, c := range evB.ColIdx {
-		colPtr[c+1]++
-	}
-	for c := 0; c < k; c++ {
-		colPtr[c+1] += colPtr[c]
-	}
-	sampleIdx := make([]int32, evB.NNZ())
-	next := make([]int32, k)
-	copy(next, colPtr[:k])
-	for i := 0; i < evB.Rows; i++ {
-		for p := evB.RowPtr[i]; p < evB.RowPtr[i+1]; p++ {
-			c := evB.ColIdx[p]
-			sampleIdx[next[c]] = int32(i)
-			next[c]++
-		}
-	}
-	rowWork := 2 * (2 + evB.NNZ()/max1(pattern.Rows))
-	tensor.ParallelFor(pattern.Rows, rowWork, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			arow := aT[r*ab : (r+1)*ab]
-			for p := pattern.RowPtr[r]; p < pattern.RowPtr[r+1]; p++ {
-				c := pattern.ColIdx[p]
-				clo, chi := colPtr[c], colPtr[c+1]
-				if clo == chi {
-					continue
-				}
-				var s float32
-				for _, i := range sampleIdx[clo:chi] {
-					s += arow[i]
-				}
-				vals[p] += s
-			}
-		}
-	})
-}
-
 // CSC is a compressed-sparse-column view of a weight matrix: column q's
 // stored rows are RowIdx[ColPtr[q]:ColPtr[q+1]], ascending, with values
-// aligned in Val. It is the access order the event-driven linear forward
-// needs (incoming spikes select weight *columns*), derived from the
-// mask-keyed CSR pattern.
+// aligned in Val. It is the access order the event-driven forward needs
+// (incoming spikes select weight *columns*), derived from the mask-keyed CSR
+// pattern.
 type CSC struct {
 	Rows, Cols int
 	// ColPtr has Cols+1 entries delimiting each column's span in RowIdx/Val.
@@ -392,37 +278,4 @@ func (c *CSC) GatherValues(w *tensor.Tensor) {
 			c.Val[p] = wd[int(c.RowIdx[p])*c.Cols+q]
 		}
 	}
-}
-
-// MatMulEventsCSCInto computes dst = X·Aᵀ for a binary X [bRows,k] given as
-// its event pattern and A in CSC form [m,k] — the dual-sparse linear
-// forward: each incoming spike at feature q scatter-adds weight column q
-// into the output row. Work is nnz(X) × colDensity(A) instead of the
-// weight-only kernel's bRows × nnz(A). Parallelized over X's rows.
-func MatMulEventsCSCInto(dst *tensor.Tensor, ev *Events, a *CSC, accumulate bool) {
-	if ev.Cols != a.Cols {
-		panic(fmt.Sprintf("sparse: MatMulEventsCSC inner dims %d vs %d", ev.Cols, a.Cols))
-	}
-	dm, dn := dims2(dst, "MatMulEventsCSC dst")
-	if dm != ev.Rows || dn != a.Rows {
-		panic(fmt.Sprintf("sparse: MatMulEventsCSC dst shape [%d,%d], want [%d,%d]", dm, dn, ev.Rows, a.Rows))
-	}
-	od := dst.Data
-	rowWork := 2 * (1 + a.NNZ())
-	tensor.ParallelFor(ev.Rows, rowWork, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := od[i*a.Rows : (i+1)*a.Rows]
-			if !accumulate {
-				for j := range orow {
-					orow[j] = 0
-				}
-			}
-			for e := ev.RowPtr[i]; e < ev.RowPtr[i+1]; e++ {
-				q := ev.ColIdx[e]
-				for p := a.ColPtr[q]; p < a.ColPtr[q+1]; p++ {
-					orow[a.RowIdx[p]] += a.Val[p]
-				}
-			}
-		}
-	})
 }

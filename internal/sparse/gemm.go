@@ -6,7 +6,8 @@ import (
 	"ndsnn/internal/tensor"
 )
 
-// CSR GEMM kernels: the sparsity-aware compute engine behind Conv2d/Linear.
+// CSR GEMM kernels: the sparsity-aware compute engine behind Conv2d (and
+// Linear, its 1×1 case).
 // All kernels compute exactly what their dense counterparts in
 // internal/tensor compute, but touch only the stored (active) positions, so
 // training cost scales with live-weight density instead of layer size.
@@ -16,8 +17,7 @@ import (
 // are bit-identical to the dense path.
 //
 // Naming: the CSR operand is A. "ATB"/"ABT" follow the dense kernel
-// convention (Aᵀ·B, A·Bᵀ); the MatMulDense* kernels put the dense operand on
-// the left, which lets batch-major activations parallelize over batch rows.
+// convention (Aᵀ·B, A·Bᵀ).
 
 // CSRMatMulSerialInto computes dst = A·B (or dst += A·B when accumulate) for
 // A in CSR form [m,k] and dense B [k,n], on the calling goroutine: its
@@ -98,74 +98,6 @@ func checkCSRMatMulATB(dst *tensor.Tensor, a *CSR, b *tensor.Tensor) int {
 	return n
 }
 
-// MatMulDenseCSRTInto computes dst = X·Aᵀ (or += when accumulate) for dense
-// X [bRows,k] and A in CSR form [m,k]; dst is [bRows,m]. Parallelized over
-// X's rows. This is the linear forward primitive: y = x·Wᵀ.
-func MatMulDenseCSRTInto(dst, x *tensor.Tensor, a *CSR, accumulate bool) {
-	bRows, k := dims2(x, "MatMulDenseCSRT x")
-	if k != a.Cols {
-		panic(fmt.Sprintf("sparse: MatMulDenseCSRT inner dims %d vs %d", k, a.Cols))
-	}
-	dm, dn := dims2(dst, "MatMulDenseCSRT dst")
-	if dm != bRows || dn != a.Rows {
-		panic(fmt.Sprintf("sparse: MatMulDenseCSRT dst shape [%d,%d], want [%d,%d]", dm, dn, bRows, a.Rows))
-	}
-	xd, od := x.Data, dst.Data
-	rowWork := 2 * (1 + a.NNZ())
-	tensor.ParallelFor(bRows, rowWork, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xrow := xd[i*k : (i+1)*k]
-			orow := od[i*a.Rows : (i+1)*a.Rows]
-			for r := 0; r < a.Rows; r++ {
-				var s float32
-				for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-					s += a.Val[p] * xrow[a.ColIdx[p]]
-				}
-				if accumulate {
-					orow[r] += s
-				} else {
-					orow[r] = s
-				}
-			}
-		}
-	})
-}
-
-// MatMulDenseCSRInto computes dst = X·A (or += when accumulate) for dense
-// X [bRows,m] and A in CSR form [m,k]; dst is [bRows,k]. Parallelized over
-// X's rows. This is the linear backward-data primitive: dx = dy·W.
-func MatMulDenseCSRInto(dst, x *tensor.Tensor, a *CSR, accumulate bool) {
-	bRows, m := dims2(x, "MatMulDenseCSR x")
-	if m != a.Rows {
-		panic(fmt.Sprintf("sparse: MatMulDenseCSR inner dims %d vs %d", m, a.Rows))
-	}
-	dm, dn := dims2(dst, "MatMulDenseCSR dst")
-	if dm != bRows || dn != a.Cols {
-		panic(fmt.Sprintf("sparse: MatMulDenseCSR dst shape [%d,%d], want [%d,%d]", dm, dn, bRows, a.Cols))
-	}
-	xd, od := x.Data, dst.Data
-	rowWork := 2 * (1 + a.NNZ())
-	tensor.ParallelFor(bRows, rowWork, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xrow := xd[i*m : (i+1)*m]
-			orow := od[i*a.Cols : (i+1)*a.Cols]
-			if !accumulate {
-				for j := range orow {
-					orow[j] = 0
-				}
-			}
-			for r, v := range xrow {
-				if v == 0 {
-					continue
-				}
-				for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-					orow[a.ColIdx[p]] += v * a.Val[p]
-				}
-			}
-		}
-	})
-}
-
 // CSRGradABTSerial accumulates vals[p] += Σ_j a[r,j]·b[c,j] for every stored
 // position (r,c) of the pattern — the sampled dense·denseᵀ product (SDDMM)
 // that computes conv weight gradients only where the mask is live:
@@ -187,92 +119,6 @@ func CSRGradABTSerial(vals []float32, pattern *CSR, a, b *tensor.Tensor) {
 			vals[p] += s
 		}
 	}
-}
-
-// CSRGradATBInto accumulates vals[p] += Σ_i a[i,r]·b[i,c] for every stored
-// position (r,c) of the pattern — the SDDMM form of dW = dyᵀ·x restricted to
-// active positions (the linear layer's weight gradient). a is
-// [batch, pattern.Rows], b is [batch, pattern.Cols]. Parallelized over
-// pattern rows (vals is indexed by p, so writes never race).
-func CSRGradATBInto(vals []float32, pattern *CSR, a, b *tensor.Tensor) {
-	ab, m := dims2(a, "CSRGradATB a")
-	bb, k := dims2(b, "CSRGradATB b")
-	if ab != bb {
-		panic(fmt.Sprintf("sparse: CSRGradATB batch dims %d vs %d", ab, bb))
-	}
-	if m != pattern.Rows || k != pattern.Cols {
-		panic(fmt.Sprintf("sparse: CSRGradATB operands [%d,%d]/[%d,%d] vs pattern [%d,%d]", ab, m, bb, k, pattern.Rows, pattern.Cols))
-	}
-	if len(vals) != pattern.NNZ() {
-		panic(fmt.Sprintf("sparse: CSRGradATB vals length %d, want %d", len(vals), pattern.NNZ()))
-	}
-	ad, bd := a.Data, b.Data
-	rowWork := ab * (2 + pattern.NNZ()/max1(pattern.Rows))
-	tensor.ParallelFor(pattern.Rows, rowWork, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			for p := pattern.RowPtr[r]; p < pattern.RowPtr[r+1]; p++ {
-				c := int(pattern.ColIdx[p])
-				var s float32
-				for i := 0; i < ab; i++ {
-					s += ad[i*m+r] * bd[i*k+c]
-				}
-				vals[p] += s
-			}
-		}
-	})
-}
-
-// CSRGradATBTransposedInto computes exactly what CSRGradATBInto computes —
-// vals[p] += Σ_i a[i,r]·b[i,c] at every stored position — but first
-// transposes both operands into [rows, batch] scratch so the per-position dot
-// product streams two contiguous rows instead of walking a and b
-// column-strided. The O(batch·(m+k)) transpose is amortized over
-// nnz(pattern) dot products of length batch, which wins on wide layers where
-// the column stride defeats the cache; the summation order per position is
-// unchanged (i ascending), so results are bit-identical to CSRGradATBInto.
-// Parallelized over pattern rows.
-func CSRGradATBTransposedInto(vals []float32, pattern *CSR, a, b *tensor.Tensor) {
-	ab, m := dims2(a, "CSRGradATBTransposed a")
-	bb, k := dims2(b, "CSRGradATBTransposed b")
-	if ab != bb {
-		panic(fmt.Sprintf("sparse: CSRGradATBTransposed batch dims %d vs %d", ab, bb))
-	}
-	if m != pattern.Rows || k != pattern.Cols {
-		panic(fmt.Sprintf("sparse: CSRGradATBTransposed operands [%d,%d]/[%d,%d] vs pattern [%d,%d]", ab, m, bb, k, pattern.Rows, pattern.Cols))
-	}
-	if len(vals) != pattern.NNZ() {
-		panic(fmt.Sprintf("sparse: CSRGradATBTransposed vals length %d, want %d", len(vals), pattern.NNZ()))
-	}
-	ad, bd := a.Data, b.Data
-	aT := make([]float32, m*ab)
-	for i := 0; i < ab; i++ {
-		row := ad[i*m : (i+1)*m]
-		for r, v := range row {
-			aT[r*ab+i] = v
-		}
-	}
-	bT := make([]float32, k*ab)
-	for i := 0; i < ab; i++ {
-		row := bd[i*k : (i+1)*k]
-		for c, v := range row {
-			bT[c*ab+i] = v
-		}
-	}
-	rowWork := ab * (2 + pattern.NNZ()/max1(pattern.Rows))
-	tensor.ParallelFor(pattern.Rows, rowWork, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			arow := aT[r*ab : (r+1)*ab]
-			for p := pattern.RowPtr[r]; p < pattern.RowPtr[r+1]; p++ {
-				brow := bT[int(pattern.ColIdx[p])*ab:]
-				brow = brow[:ab]
-				var s float32
-				for i, av := range arow {
-					s += av * brow[i]
-				}
-				vals[p] += s
-			}
-		}
-	})
 }
 
 func checkCSRGrad(vals []float32, pattern *CSR, a, b *tensor.Tensor, wantARows, wantBRows int) int {
@@ -314,11 +160,4 @@ func dims2(t *tensor.Tensor, what string) (int, int) {
 		panic(fmt.Sprintf("sparse: %s must be 2-D, got shape %v", what, t.Shape()))
 	}
 	return t.Dim(0), t.Dim(1)
-}
-
-func max1(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
 }

@@ -164,42 +164,6 @@ func TestCSRMatMulATBMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMatMulDenseCSRTMatchesDense(t *testing.T) {
-	r := rng.New(3)
-	for _, s := range kernelShapes {
-		for _, d := range kernelDensities {
-			w, mask := randMasked(r, s.m, s.k, d) // weight [out=m, in=k]
-			x := randDense(r, s.n, s.k)           // batch n
-			a := EncodeCSRWithMask(w, mask)
-			want := tensor.MatMulABT(x, w)
-
-			got := tensor.New(s.n, s.m)
-			MatMulDenseCSRTInto(got, x, a, false)
-			if diff := maxAbsDiff(got.Data, want.Data); diff > 1e-5 {
-				t.Fatalf("shape %+v d=%v: MatMulDenseCSRT differs by %v", s, d, diff)
-			}
-		}
-	}
-}
-
-func TestMatMulDenseCSRMatchesDense(t *testing.T) {
-	r := rng.New(4)
-	for _, s := range kernelShapes {
-		for _, d := range kernelDensities {
-			w, mask := randMasked(r, s.m, s.k, d)
-			x := randDense(r, s.n, s.m)
-			a := EncodeCSRWithMask(w, mask)
-			want := tensor.MatMul(x, w)
-
-			got := tensor.New(s.n, s.k)
-			MatMulDenseCSRInto(got, x, a, false)
-			if diff := maxAbsDiff(got.Data, want.Data); diff > 1e-5 {
-				t.Fatalf("shape %+v d=%v: MatMulDenseCSR differs by %v", s, d, diff)
-			}
-		}
-	}
-}
-
 func TestCSRGradABTMatchesDenseAtActivePositions(t *testing.T) {
 	r := rng.New(5)
 	for _, s := range kernelShapes {
@@ -221,31 +185,6 @@ func TestCSRGradABTMatchesDenseAtActivePositions(t *testing.T) {
 					}
 				} else if grad.Data[i] != 0 {
 					t.Fatalf("shape %+v d=%v: inactive grad[%d] = %v, want 0", s, d, i, grad.Data[i])
-				}
-			}
-		}
-	}
-}
-
-func TestCSRGradATBMatchesDenseAtActivePositions(t *testing.T) {
-	r := rng.New(6)
-	for _, s := range kernelShapes {
-		for _, d := range kernelDensities {
-			w, mask := randMasked(r, s.m, s.k, d) // pattern [out=m, in=k]
-			pat := EncodeCSRWithMask(w, mask)
-			dy := randDense(r, s.n, s.m) // [batch, out]
-			x := randDense(r, s.n, s.k)  // [batch, in]
-			want := tensor.MatMulATB(dy, x)
-
-			vals := make([]float32, pat.NNZ())
-			CSRGradATBInto(vals, pat, dy, x)
-			grad := tensor.New(s.m, s.k)
-			AddValsInto(grad, pat, vals)
-			for i, m := range mask.Data {
-				if m != 0 {
-					if diff := math.Abs(float64(grad.Data[i] - want.Data[i])); diff > 1e-5 {
-						t.Fatalf("shape %+v d=%v: active grad[%d] differs by %v", s, d, i, diff)
-					}
 				}
 			}
 		}

@@ -280,27 +280,6 @@ func TestCSRRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestCSRMatVecMatchesDense(t *testing.T) {
-	r := rng.New(8)
-	w := tensor.New(5, 7)
-	for i := range w.Data {
-		if r.Bernoulli(0.5) {
-			w.Data[i] = r.NormFloat32()
-		}
-	}
-	x := make([]float32, 7)
-	for i := range x {
-		x[i] = r.NormFloat32()
-	}
-	got := EncodeCSR(w).MatVec(x)
-	want := tensor.MatVec(w, tensor.FromSlice(x, 7))
-	for i := range got {
-		if math.Abs(float64(got[i]-want.Data[i])) > 1e-5 {
-			t.Fatalf("MatVec[%d] = %v, want %v", i, got[i], want.Data[i])
-		}
-	}
-}
-
 func TestCSREmptyMatrix(t *testing.T) {
 	w := tensor.New(3, 4)
 	csr := EncodeCSR(w)

@@ -7,9 +7,9 @@ import (
 	"ndsnn/internal/tensor"
 )
 
-// Tests for the tape-replay gradient kernels (events as the cached-activation
-// operand) and the transposed SDDMM variant, plus the FuseTimesteps edge
-// cases: every kernel is pinned against the reference kernel it replaces.
+// Tests for the tape-replay gradient kernel (events as the cached-activation
+// operand), pinned against the dense-operand SDDMM it replaces, plus the
+// Events row round trip and the FuseTimesteps edge cases.
 
 func TestCSRGradABTEventsMatchesDense(t *testing.T) {
 	const m, k, q = 9, 33, 24
@@ -37,62 +37,6 @@ func TestCSRGradABTEventsMatchesDense(t *testing.T) {
 		CSRGradABTSerial(want, c, dy, col)
 		if d := maxAbsDiff(want, got); d > 1e-5 {
 			t.Fatalf("rate %v: events ABT accumulate differs by %v", rate, d)
-		}
-	}
-}
-
-func TestCSRGradATBEventsMatchesDense(t *testing.T) {
-	const batch, m, k = 7, 15, 40
-	for _, rate := range spikeRates {
-		r := rng.New(311 + uint64(rate*100))
-		_, c := maskedWeights(m, k, 0.25, r)
-		dy := tensor.New(batch, m)
-		for i := range dy.Data {
-			dy.Data[i] = r.NormFloat32()
-		}
-		x := spikeMatrix(batch, k, rate, r)
-		ev, ok := EncodeEvents(x)
-		if !ok {
-			t.Fatal("binary operand rejected")
-		}
-		want := make([]float32, c.NNZ())
-		CSRGradATBInto(want, c, dy, x)
-		got := make([]float32, c.NNZ())
-		CSRGradATBEventsInto(got, c, dy, ev)
-		if d := maxAbsDiff(want, got); d > 1e-5 {
-			t.Fatalf("rate %v: events ATB kernel differs by %v", rate, d)
-		}
-	}
-}
-
-// TestCSRGradATBTransposedMatchesReference pins the blocked/transposed SDDMM
-// against CSRGradATBInto bit-for-bit: the transpose changes memory access
-// order, not summation order.
-func TestCSRGradATBTransposedMatchesReference(t *testing.T) {
-	const batch, m, k = 11, 13, 57
-	for _, density := range []float64{0.05, 0.3, 1} {
-		r := rng.New(321 + uint64(density*100))
-		_, c := maskedWeights(m, k, density, r)
-		dy := tensor.New(batch, m)
-		x := tensor.New(batch, k)
-		for i := range dy.Data {
-			dy.Data[i] = r.NormFloat32()
-		}
-		for i := range x.Data {
-			x.Data[i] = r.NormFloat32()
-		}
-		want := make([]float32, c.NNZ())
-		CSRGradATBInto(want, c, dy, x)
-		got := make([]float32, c.NNZ())
-		CSRGradATBTransposedInto(got, c, dy, x)
-		if d := maxAbsDiff(want, got); d != 0 {
-			t.Fatalf("density %v: transposed ATB differs by %v", density, d)
-		}
-		// Accumulates like the reference.
-		CSRGradATBTransposedInto(got, c, dy, x)
-		CSRGradATBInto(want, c, dy, x)
-		if d := maxAbsDiff(want, got); d != 0 {
-			t.Fatalf("density %v: transposed ATB accumulate differs by %v", density, d)
 		}
 	}
 }

@@ -32,7 +32,8 @@
 // which lets Conv2d fuse the T event patterns of a sample
 // (sparse.FuseTimesteps) and compute all T forward passes in one traversal
 // of the weight matrix. Layers opt into the fused path by implementing
-// SequenceLayer (Conv2d's per-timestep Forward is just ForwardSeq at T=1);
+// SequenceLayer (Conv2d's per-timestep Forward is just ForwardSeq at T=1,
+// and Linear runs as Conv2d's 1×1 case);
 // everything else is driven per timestep in order, which is exactly what the
 // step-major schedule would have done to it.
 //

@@ -16,7 +16,7 @@ type Layer interface {
 // semantically identical to T successive Forward calls (including what it
 // records for backward); it exists so a layer can amortize work across
 // timesteps, e.g. Conv2d's fused event GEMM traverses its weight matrix once
-// for all T timesteps. Conv2d and ResidualBlock have no separate
+// for all T timesteps. Conv2d, Linear and ResidualBlock have no separate
 // per-timestep forward: their Forward is ForwardSeq's T=1 case.
 type SequenceLayer interface {
 	Layer

@@ -51,24 +51,6 @@ func (r Rec) Shape() []int { return r.shape }
 // Dense returns the dense tensor of a dense record (nil for event records).
 func (r Rec) Dense() *tensor.Tensor { return r.dense }
 
-// Materialize returns the recorded activation as a dense tensor in its
-// original shape: the cached tensor itself for dense records, a fresh {0,1}
-// decode for event records. Replay paths that cannot consume events directly
-// use this; it is transient (one timestep at a time), so peak cache memory
-// stays at the event-encoded level.
-func (r Rec) Materialize() *tensor.Tensor {
-	if r.dense != nil {
-		return r.dense
-	}
-	out := tensor.New(r.shape...)
-	cols := r.ev.Cols
-	for q := 0; q < r.ev.Rows; q++ {
-		row := out.Data[q*cols : (q+1)*cols]
-		r.ev.ScatterRowInto(q, row, 1)
-	}
-	return out
-}
-
 // Bytes returns the retained heap footprint of the record: the dense payload,
 // or the event pattern's index arrays.
 func (r Rec) Bytes() int64 {

@@ -26,8 +26,8 @@ func spikeTensor(r *rng.RNG, rate float64, shape ...int) *tensor.Tensor {
 	return x
 }
 
-// TestStackEventEncoding: binary low-rate tensors are recorded as events and
-// materialize back bit-identically in their original shape.
+// TestStackEventEncoding: binary low-rate tensors are recorded as events
+// that keep their original shape and decode back bit-identically.
 func TestStackEventEncoding(t *testing.T) {
 	r := rng.New(11)
 	x := spikeTensor(r, 0.1, 3, 4, 5, 5)
@@ -43,19 +43,23 @@ func TestStackEventEncoding(t *testing.T) {
 	if ev := rec.Events(); ev.Rows != 3 || ev.Cols != 4*5*5 {
 		t.Fatalf("event pattern [%d,%d], want [3,100]", ev.Rows, ev.Cols)
 	}
-	m := rec.Materialize()
+	m := tensor.New(rec.Shape()...)
 	if !m.SameShape(x) {
-		t.Fatalf("materialized shape %v, want %v", m.Shape(), x.Shape())
+		t.Fatalf("recorded shape %v, want %v", m.Shape(), x.Shape())
+	}
+	ev := rec.Events()
+	for row := 0; row < ev.Rows; row++ {
+		ev.ScatterRowInto(row, m.Data[row*ev.Cols:(row+1)*ev.Cols], 1)
 	}
 	for i := range x.Data {
 		if m.Data[i] != x.Data[i] {
-			t.Fatalf("materialized[%d] = %v, want %v", i, m.Data[i], x.Data[i])
+			t.Fatalf("decoded[%d] = %v, want %v", i, m.Data[i], x.Data[i])
 		}
 	}
 }
 
 // TestStackDenseFallbacks: analog tensors, high-occupancy spikes, and the
-// CacheEvents kill switch all keep the dense representation (and Materialize
+// CacheEvents kill switch all keep the dense representation (and Dense
 // returns the original tensor untouched).
 func TestStackDenseFallbacks(t *testing.T) {
 	r := rng.New(21)
@@ -66,7 +70,7 @@ func TestStackDenseFallbacks(t *testing.T) {
 		analog.Data[i] = r.NormFloat32()
 	}
 	withCacheEvents(true, func() { s.Push(analog) })
-	if rec := s.Pop(); rec.IsEvents() || rec.Materialize() != analog {
+	if rec := s.Pop(); rec.IsEvents() || rec.Dense() != analog {
 		t.Fatal("analog tensor should be cached dense, by reference")
 	}
 
@@ -235,24 +239,6 @@ func TestRunDrivesSequenceLayers(t *testing.T) {
 			if v != 2*want[tt][i] {
 				t.Fatalf("dins[%d][%d] = %v, want %v", tt, i, v, 2*want[tt][i])
 			}
-		}
-	}
-}
-
-// TestMaterializeEventsDecode pins Materialize against a hand decode for a
-// pattern built directly (no Stack involved).
-func TestMaterializeEventsDecode(t *testing.T) {
-	x := tensor.FromSlice([]float32{0, 1, 0, 1, 0, 0, 1, 0}, 2, 4)
-	var s tape.Stack
-	withCacheEvents(true, func() { s.Push(x) })
-	rec := s.Pop()
-	if !rec.IsEvents() {
-		t.Fatal("binary tensor not event-encoded")
-	}
-	m := rec.Materialize()
-	for i := range x.Data {
-		if m.Data[i] != x.Data[i] {
-			t.Fatalf("decode mismatch at %d", i)
 		}
 	}
 }

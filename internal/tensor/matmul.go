@@ -138,28 +138,6 @@ func MatMulATBInto(dst, a, b *Tensor, accumulate bool) {
 	})
 }
 
-// MatVec returns a·x for a of shape [m,k] and x of length k (any shape with
-// k elements). The result has shape [m].
-func MatVec(a, x *Tensor) *Tensor {
-	m, k := dims2(a, "MatVec a")
-	if x.Size() != k {
-		panic(fmt.Sprintf("tensor: MatVec x has %d elements, want %d", x.Size(), k))
-	}
-	out := New(m)
-	ad, xd, od := a.Data, x.Data, out.Data
-	ParallelFor(m, k, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := ad[i*k : (i+1)*k]
-			var s float32
-			for l, v := range row {
-				s += v * xd[l]
-			}
-			od[i] = s
-		}
-	})
-	return out
-}
-
 func dims2(t *Tensor, what string) (int, int) {
 	if len(t.shape) != 2 {
 		panic(fmt.Sprintf("tensor: %s must be 2-D, got shape %v", what, t.shape))

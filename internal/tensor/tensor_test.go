@@ -366,15 +366,6 @@ func TestMatMulInnerDimMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(4, 2))
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	x := FromSlice([]float32{1, 0, -1}, 3)
-	y := MatVec(a, x)
-	if y.Data[0] != -2 || y.Data[1] != -2 {
-		t.Fatalf("MatVec = %v, want [-2 -2]", y.Data)
-	}
-}
-
 func TestDot(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3}, 3)
 	b := FromSlice([]float32{4, 5, 6}, 3)
