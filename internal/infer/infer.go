@@ -53,8 +53,9 @@ type Event struct {
 }
 
 // act is the activation flowing between stages: a dense buffer plus its
-// event list (the nonzero entries). Every act lives in a Scratch slot, so
-// its buffer and event-list capacity are recycled across requests.
+// event list (the nonzero entries), which only the conv and linear stages
+// that walk it build. Every act lives in a Scratch slot, so its buffer and
+// event-list capacity are recycled across requests.
 type act struct {
 	shape  []int // [C,H,W] or [D]
 	data   []float32
@@ -651,13 +652,12 @@ func (e *Engine) InferBatchTraced(samples []*tensor.Tensor, pt *PassTrace) [][]f
 }
 
 // load starts a request on the arena: fresh temporal state, and sample as
-// the network input with its event list built once for the whole pass.
+// the network input. A conv stage that reads it builds its event list.
 func (sc *Scratch) load(sample *tensor.Tensor) {
 	sc.begin()
 	in := &sc.input
 	in.shape = appendShape(in.shape[:0], sample)
 	in.data = sample.Data
-	in.refreshEvents()
 	sc.cur = in
 }
 

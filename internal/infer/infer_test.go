@@ -170,6 +170,37 @@ func TestSynOpsBelowDenseMACs(t *testing.T) {
 	}
 }
 
+// TestDenseMACsNonSquareAndStrided pins the dense-MAC bound to the conv's
+// real output size, outC·inC·k²·oh·ow, on a non-square input at strides 1
+// and 2.
+func TestDenseMACsNonSquareAndStrided(t *testing.T) {
+	for _, c := range []struct {
+		stride int
+		want   int64
+	}{
+		{1, 4 * 3 * 9 * (4 * 12)}, // 4×12 outputs
+		{2, 4 * 3 * 9 * (2 * 6)},  // 2×6 outputs
+	} {
+		r := rng.New(5)
+		net := &snn.Network{T: 1, Layers: []layers.Layer{
+			layers.NewConv2d("conv", 3, 4, 3, c.stride, 1, false, r),
+			snn.DefaultNeuron().New(),
+		}}
+		eng, err := infer.Compile(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.New(3, 4, 12)
+		for i := range x.Data {
+			x.Data[i] = r.Float32()
+		}
+		eng.Infer(x)
+		if got := eng.DenseMACsPerTimestep(); got != c.want {
+			t.Fatalf("stride %d: DenseMACsPerTimestep %d, want %d", c.stride, got, c.want)
+		}
+	}
+}
+
 func TestEngineClassifyAgreesWithTrainingPath(t *testing.T) {
 	ds := data.SynthEasy(4, 96, 24, 41)
 	net := testutil.TinyNet(4, 2, 10)

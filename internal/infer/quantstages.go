@@ -131,7 +131,6 @@ func (s *aquantStage) step(sc *Scratch, in *act) *act {
 	for i, v := range in.data {
 		out.data[i] = s.grid.Snap(v)
 	}
-	out.refreshEvents()
 	return out
 }
 
@@ -194,7 +193,6 @@ func (s *intAvgPoolStage) step(sc *Scratch, in *act) *act {
 			}
 		}
 	}
-	out.refreshEvents()
 	return out
 }
 

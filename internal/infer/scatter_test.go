@@ -10,7 +10,8 @@ import (
 
 // The per-kind conv walks the stages ran before they shared convScatter,
 // kept unedited as its oracle: the float walk, the spike-fed integer walk
-// and the grid-fed integer walk. floatConvEntry is the float walk's old
+// and the grid-fed integer walk, over tables of (f, ki, kj, weight) entries
+// grouped by input channel. floatConvEntry is the float walk's old
 // convEntry, renamed because convEntry is now the generic table entry.
 
 type floatConvEntry struct {
@@ -117,6 +118,29 @@ func qconvScatterEventsGraded(acc []int32, events []Event, perChannel [][]qconvE
 	return ops
 }
 
+// oracleTables builds the oracle walks' tables from the same dense row-major
+// [outC, inC·k·k] matrices the production builder reads, as the compilers
+// built them before the tables were grouped by offset: the non-zeros of
+// each input channel in (f, ki, kj) order.
+func oracleTables(wf []float32, wq []int32, outC, inC, k int) ([][]floatConvEntry, [][]qconvEntry) {
+	fOld := make([][]floatConvEntry, inC)
+	qOld := make([][]qconvEntry, inC)
+	kk := k * k
+	cols := inC * kk
+	for f := 0; f < outC; f++ {
+		for col := 0; col < cols; col++ {
+			ci, ki, kj := int32(col/kk), int32(col%kk/k), int32(col%k)
+			if v := wf[f*cols+col]; v != 0 {
+				fOld[ci] = append(fOld[ci], floatConvEntry{int32(f), ki, kj, v})
+			}
+			if q := wq[f*cols+col]; q != 0 {
+				qOld[ci] = append(qOld[ci], qconvEntry{int32(f), ki, kj, q})
+			}
+		}
+	}
+	return fOld, qOld
+}
+
 // randomEvents returns events at an ascending random subset of n positions
 // (about half), each valued by val.
 func randomEvents(r *rng.RNG, n int, val func() float32) []Event {
@@ -129,10 +153,10 @@ func randomEvents(r *rng.RNG, n int, val func() float32) []Event {
 	return evs
 }
 
-// TestConvScatterMatchesOracle pins the shared conv walk against the three
-// walks it replaced on random tables, for float, spike and grid events:
-// bit-identical outputs (math.Float32bits on the float walk) and equal
-// SynOps.
+// TestConvScatterMatchesOracle pins the shared conv walk, over tables from
+// the production builder, against the three walks it replaced on random
+// weights, for float, spike and grid events: bit-identical outputs
+// (math.Float32bits on the float walk) and equal SynOps.
 func TestConvScatterMatchesOracle(t *testing.T) {
 	const gridInv = 64 // a 2^-6 activation grid
 	geoms := []struct{ inC, outC, k, stride, pad, h int }{
@@ -147,28 +171,19 @@ func TestConvScatterMatchesOracle(t *testing.T) {
 	for gi, g := range geoms {
 		for trial := 0; trial < 4; trial++ {
 			name := fmt.Sprintf("geom %d (k=%d stride=%d pad=%d) trial %d", gi, g.k, g.stride, g.pad, trial)
-			// One random table in all four layouts, in the compilers'
-			// (f, ki, kj) order per input channel, about 60% live.
-			fOld := make([][]floatConvEntry, g.inC)
-			qOld := make([][]qconvEntry, g.inC)
-			fNew := make([][]convEntry[float32], g.inC)
-			qNew := make([][]convEntry[int32], g.inC)
-			for f := 0; f < g.outC; f++ {
-				for ci := 0; ci < g.inC; ci++ {
-					for ki := 0; ki < g.k; ki++ {
-						for kj := 0; kj < g.k; kj++ {
-							if r.Bernoulli(0.4) {
-								continue
-							}
-							w, q := r.NormFloat32(), int32(r.Intn(255))-127
-							fOld[ci] = append(fOld[ci], floatConvEntry{int32(f), int32(ki), int32(kj), w})
-							qOld[ci] = append(qOld[ci], qconvEntry{int32(f), int32(ki), int32(kj), q})
-							fNew[ci] = append(fNew[ci], convEntry[float32]{int32(f), int32(ki), int32(kj), w})
-							qNew[ci] = append(qNew[ci], convEntry[int32]{int32(f), int32(ki), int32(kj), q})
-						}
-					}
+			// One random dense weight matrix per kind, about 60% live. A
+			// live level is odd, so never zero: the compilers skip zeros.
+			cols := g.inC * g.k * g.k
+			wf, wq := make([]float32, g.outC*cols), make([]int32, g.outC*cols)
+			for i := range wf {
+				if r.Bernoulli(0.4) {
+					continue
 				}
+				wf[i], wq[i] = r.NormFloat32(), int32(r.Intn(255))-127|1
 			}
+			fOld, qOld := oracleTables(wf, wq, g.outC, g.inC, g.k)
+			fNew := newConvTable(wf, g.outC, g.inC, g.k, g.stride)
+			qNew := newConvTable(wq, g.outC, g.inC, g.k, g.stride)
 			h := g.h
 			oh := (h+2*g.pad-g.k)/g.stride + 1
 			p := oh * oh

@@ -14,7 +14,7 @@ import (
 // tables and folded affines, and step routes every mutable
 // buffer through the request's Scratch arena (each stage owns fixed slot
 // indices assigned at compile time). The only post-compile writes a stage
-// performs on itself are atomics (the conv stages' last-seen spatial size,
+// performs on itself are atomics (the conv stages' last-seen output size,
 // recorded for the dense-MAC bound), so one stage instance serves any
 // number of concurrent requests.
 
@@ -68,8 +68,8 @@ func (ep *epilogue[W]) accumulator(sc *Scratch, out []float32, events []Event, k
 }
 
 // apply writes the epilogue of every output — len(deq) rows of p positions
-// (p = 1 on linear stages) — into out and rebuilds its event list. On traced
-// passes the integer stages time it as their requant segment.
+// (p = 1 on linear stages) — into out. On traced passes the integer stages
+// time it as their requant segment.
 func (ep *epilogue[W]) apply(sc *Scratch, out *act, acc []W, p int) {
 	_, integer := any(W(0)).(int32)
 	timed := sc.timeRequant && integer
@@ -102,15 +102,22 @@ func (ep *epilogue[W]) apply(sc *Scratch, out *act, acc []W, p int) {
 	if timed {
 		sc.requantNS += time.Since(rqStart).Nanoseconds()
 	}
-	out.refreshEvents()
 }
 
-// convEntry is one active synapse of an event-driven convolution, grouped
-// by presynaptic channel.
+// convEntry is one active synapse of a kernel offset: its output channel and
+// weight.
 type convEntry[W weight] struct {
-	f      int32 // output channel
-	ki, kj int32 // kernel offsets
-	w      W
+	f int32 // output channel
+	w W
+}
+
+// convTap is one kernel offset (ki, kj) of an input channel, with its active
+// synapses in output-channel order. The offset is stored as quotient and
+// remainder by the stage's stride — ki = qi·stride + ri, kj = qj·stride +
+// rj — so the walk finds the output position without dividing.
+type convTap[W weight] struct {
+	qi, ri, qj, rj int32
+	syn            []convEntry[W]
 }
 
 // convStage is an event-driven convolution over float weights or quantized
@@ -118,50 +125,93 @@ type convEntry[W weight] struct {
 type convStage[W weight] struct {
 	epilogue[W]
 	inC, outC, k, stride, pad int
-	perChannel                [][]convEntry[W]
+	perChannel                [][]convTap[W]
 	slot                      int
-	inHW                      atomic.Int64 // last seen spatial size (for dense MACs)
+	outHW                     atomic.Int64 // last seen output positions (for dense MACs)
 }
 
-// newConvStage builds the synapse table from w, the dense row-major
-// [outC, inC·k·k] weight matrix: its non-zeros grouped by input channel, in
-// (f, ki, kj) order within each channel.
+// newConvStage builds the conv stage of l over w, the dense row-major
+// [outC, inC·k·k] weight matrix.
 func newConvStage[W weight](l *layers.Conv2d, w []W, ep epilogue[W], c *compiler) *convStage[W] {
-	s := &convStage[W]{
+	return &convStage[W]{
 		epilogue: ep,
 		inC:      l.InC, outC: l.OutC, k: l.K, stride: l.Stride, pad: l.Pad,
-		perChannel: make([][]convEntry[W], l.InC),
+		perChannel: newConvTable(w, l.OutC, l.InC, l.K, l.Stride),
 		slot:       c.actSlot(),
 	}
-	kk := l.K * l.K
-	cols := l.InC * kk
-	for f := 0; f < l.OutC; f++ {
+}
+
+// newConvTable builds the synapse table from w, the dense row-major
+// [outC, inC·k·k] weight matrix: its non-zeros grouped by input channel, then
+// by kernel offset in (ki, kj) order, then by output channel. An offset with
+// no non-zero gets no tap. Taps and synapses each live in one exactly sized
+// backing array.
+func newConvTable[W weight](w []W, outC, inC, k, stride int) [][]convTap[W] {
+	kk := k * k
+	cols := inC * kk
+	// Column col = ci·k² + ki·k + kj holds one offset of one input channel;
+	// its synapses are syns[start[col]:start[col+1]].
+	start := make([]int, cols+1)
+	for f := 0; f < outC; f++ {
 		for col, v := range w[f*cols : (f+1)*cols] {
 			if v != 0 {
-				ci := col / kk
-				s.perChannel[ci] = append(s.perChannel[ci], convEntry[W]{int32(f), int32(col % kk / l.K), int32(col % l.K), v})
+				start[col+1]++
 			}
 		}
 	}
-	return s
+	nTaps := 0
+	for col := 0; col < cols; col++ {
+		if start[col+1] != 0 {
+			nTaps++
+		}
+		start[col+1] += start[col]
+	}
+	syns := make([]convEntry[W], start[cols])
+	next := append([]int(nil), start[:cols]...)
+	for f := 0; f < outC; f++ {
+		for col, v := range w[f*cols : (f+1)*cols] {
+			if v != 0 {
+				syns[next[col]] = convEntry[W]{int32(f), v}
+				next[col]++
+			}
+		}
+	}
+	taps := make([]convTap[W], 0, nTaps)
+	table := make([][]convTap[W], inC)
+	for ci := range table {
+		first := len(taps)
+		for off := 0; off < kk; off++ {
+			lo, hi := start[ci*kk+off], start[ci*kk+off+1]
+			if lo == hi {
+				continue
+			}
+			ki, kj := off/k, off%k
+			taps = append(taps, convTap[W]{
+				qi: int32(ki / stride), ri: int32(ki % stride),
+				qj: int32(kj / stride), rj: int32(kj % stride),
+				syn: syns[lo:hi:hi],
+			})
+		}
+		table[ci] = taps[first:len(taps):len(taps)]
+	}
+	return table
 }
 
 // denseMACs is the dense-implementation MAC bound — outC·inC·k²·outHW — from
-// the last seen (square) spatial size.
+// the last seen output size.
 func (s *convStage[W]) denseMACs() int64 {
-	inHW := int(s.inHW.Load())
-	if inHW == 0 {
-		return 0
-	}
-	oh := tensor.ConvOutSize(int(math.Sqrt(float64(inHW))), s.k, s.stride, s.pad)
-	return int64(s.outC*s.inC*s.k*s.k) * int64(oh*oh)
+	return int64(s.outC*s.inC*s.k*s.k) * s.outHW.Load()
 }
 
 func (s *convStage[W]) step(sc *Scratch, in *act) *act {
+	in.refreshEvents()
 	h, w := in.shape[1], in.shape[2]
-	s.inHW.Store(int64(h * w))
 	oh := tensor.ConvOutSize(h, s.k, s.stride, s.pad)
 	ow := tensor.ConvOutSize(w, s.k, s.stride, s.pad)
+	// Store only on a change: every request reads this stage's cache line.
+	if p := int64(oh * ow); s.outHW.Load() != p {
+		s.outHW.Store(p)
+	}
 	out := sc.actBuf3(s.slot, s.outC, oh, ow)
 	acc, inv := s.accumulator(sc, out.data, in.events, "conv")
 	sc.synOps += convScatter(acc, in.events, s.perChannel, inv, h, w, oh, ow, s.stride, s.pad)
@@ -175,10 +225,19 @@ func (s *convStage[W]) step(sc *Scratch, in *act) *act {
 // its synapses. inv is 1 on the float stages, where the contribution is
 // the event value itself, and on spike-fed integer stages, where it is the
 // spike's 1. On a grid-fed integer stage inv is 1/scale, which recovers the
-// event's integer level exactly. Events are visited in list order and each
-// event's synapses in table order, so every output receives its terms in
-// dense (ci, ki, kj) order.
-func convScatter[W weight](out []W, events []Event, perChannel [][]convEntry[W], inv float32,
+// event's integer level exactly.
+//
+// An event at (y, x) reaches output (oy, ox) through offset (ki, kj) when
+// y + pad = oy·stride + ki, and likewise for x. With y + pad = yq·stride + yr
+// and ki = qi·stride + ri, that holds exactly when yr == ri, and then
+// oy = yq − qi. So the walk divides by the stride once per event, checks
+// each tap's residues and bounds, and adds into one output position per
+// (event, tap).
+//
+// Each output receives at most one term per event (the offset is fixed by
+// the event and output positions), and events are visited in list order, so
+// every output receives its terms in dense (ci, ki, kj) order.
+func convScatter[W weight](out []W, events []Event, perChannel [][]convTap[W], inv float32,
 	h, w, oh, ow, stride, pad int) int64 {
 	p := oh * ow
 	var ops int64
@@ -187,21 +246,22 @@ func convScatter[W weight](out []W, events []Event, perChannel [][]convEntry[W],
 		idx := int(ev.Idx)
 		ci := idx / (h * w)
 		rem := idx % (h * w)
-		y := rem / w
-		x := rem % w
-		for _, en := range perChannel[ci] {
-			// Output position such that y = oy·stride + ki - pad.
-			ny := y + pad - int(en.ki)
-			nx := x + pad - int(en.kj)
-			if ny < 0 || nx < 0 || ny%stride != 0 || nx%stride != 0 {
+		y, x := rem/w+pad, rem%w+pad
+		yq, yr := int32(y/stride), int32(y%stride)
+		xq, xr := int32(x/stride), int32(x%stride)
+		taps := perChannel[ci]
+		for i := range taps {
+			tp := &taps[i]
+			oy, ox := yq-tp.qi, xq-tp.qj
+			// A negative oy or ox converts to a uint above any bound.
+			if tp.ri != yr || tp.rj != xr || uint(oy) >= uint(oh) || uint(ox) >= uint(ow) {
 				continue
 			}
-			oy, ox := ny/stride, nx/stride
-			if oy >= oh || ox >= ow {
-				continue
+			pos := int(oy)*ow + int(ox)
+			for _, en := range tp.syn {
+				out[int(en.f)*p+pos] += en.w * v
 			}
-			out[int(en.f)*p+oy*ow+ox] += en.w * v
-			ops++
+			ops += int64(len(tp.syn))
 		}
 	}
 	return ops
@@ -254,6 +314,7 @@ func newLinearStage[W weight](l *layers.Linear, w []W, ep epilogue[W], c *compil
 func (s *linearStage[W]) denseMACs() int64 { return int64(s.in) * int64(s.out) }
 
 func (s *linearStage[W]) step(sc *Scratch, in *act) *act {
+	in.refreshEvents()
 	out := sc.actBuf1(s.slot, s.out)
 	acc, inv := s.accumulator(sc, out.data, in.events, "linear")
 	sc.synOps += linearScatter(acc, in.events, s.perInput, inv)
@@ -277,12 +338,13 @@ func (s *lifStage) step(sc *Scratch, in *act) *act {
 	for i, x := range in.data {
 		v := cfg.Alpha*mv[i] + x - cfg.Threshold*oPrev[i]
 		mv[i] = v
+		var o float32
 		if v >= cfg.Threshold {
-			out.data[i] = 1
+			o = 1
 		}
+		out.data[i] = o
+		oPrev[i] = o
 	}
-	copy(oPrev, out.data)
-	out.refreshEvents()
 	return out
 }
 
@@ -325,7 +387,6 @@ func (s *maxPoolStage) step(sc *Scratch, in *act) *act {
 			}
 		}
 	}
-	out.refreshEvents()
 	return out
 }
 
@@ -367,12 +428,11 @@ func (s *avgPoolStage) step(sc *Scratch, in *act) *act {
 			}
 		}
 	}
-	out.refreshEvents()
 	return out
 }
 
 // flattenStage reshapes to a vector. Its slot only ever aliases the
-// incoming buffer and event list — no copy, no allocation.
+// incoming buffer — no copy, no allocation.
 type flattenStage struct {
 	slot int
 }
@@ -381,7 +441,6 @@ func (s *flattenStage) step(sc *Scratch, in *act) *act {
 	a := &sc.acts[s.slot]
 	a.shape = append(a.shape[:0], len(in.data))
 	a.data = in.data
-	a.events = in.events
 	return a
 }
 
@@ -412,6 +471,5 @@ func (s *residualStage) step(sc *Scratch, in *act) *act {
 	for i, v := range short.data {
 		sum.data[i] += v
 	}
-	sum.refreshEvents()
 	return s.out.step(sc, sum)
 }
