@@ -35,6 +35,7 @@ import (
 	"ndsnn/internal/layers"
 	"ndsnn/internal/quant"
 	"ndsnn/internal/snn"
+	"ndsnn/internal/sparse"
 	"ndsnn/internal/tensor"
 )
 
@@ -45,13 +46,6 @@ import (
 // serving layer's chaos harness arms this site to prove batch isolation.
 var faultPass = fault.New("infer.pass", fault.CanPanic|fault.CanDelay)
 
-// Event is one nonzero activation: flat index plus value (graded spikes
-// generalize binary events and make average pooling composable).
-type Event struct {
-	Idx int32
-	Val float32
-}
-
 // act is the activation flowing between stages: a dense buffer plus its
 // event list (the nonzero entries), which only the conv and linear stages
 // that walk it build. Every act lives in a Scratch slot, so its buffer and
@@ -59,7 +53,7 @@ type Event struct {
 type act struct {
 	shape  []int // [C,H,W] or [D]
 	data   []float32
-	events []Event
+	events []sparse.Event
 }
 
 // refreshEvents rebuilds the event list from the dense buffer, reusing the
@@ -68,7 +62,7 @@ func (a *act) refreshEvents() {
 	a.events = a.events[:0]
 	for i, v := range a.data {
 		if v != 0 {
-			a.events = append(a.events, Event{int32(i), v})
+			a.events = append(a.events, sparse.Event{Idx: int32(i), Val: v})
 		}
 	}
 }
@@ -521,7 +515,7 @@ func (c *compiler) computeStage(l layers.Layer, bn *layers.BatchNorm) (stage, er
 
 // newComputeStage builds the conv or linear stage of layer l over the dense
 // row-major weight matrix w.
-func newComputeStage[W weight](l layers.Layer, w []W, ep epilogue[W], c *compiler) stage {
+func newComputeStage[W sparse.Weight](l layers.Layer, w []W, ep epilogue[W], c *compiler) stage {
 	if conv, ok := l.(*layers.Conv2d); ok {
 		return newConvStage(conv, w, ep, c)
 	}
@@ -613,9 +607,8 @@ func (e *Engine) InferScratch(sc *Scratch, sample *tensor.Tensor) []float32 {
 // InferBatch runs a batch of single-sample requests through the pipeline
 // stage-major: at every timestep each stage processes all samples before
 // the pipeline advances, so a stage's compiled weight tables are traversed
-// while cache-hot for the whole batch (the serving layer's coalescing win —
-// the FuseTimesteps argument applied across requests instead of across
-// timesteps). As in Infer, the time-invariant prefix runs once, at t=0, and
+// while cache-hot for the whole batch (the serving layer's coalescing win).
+// As in Infer, the time-invariant prefix runs once, at t=0, and
 // each sample's prefix output feeds its timesteps 1..T−1. Every sample's
 // arithmetic and operation order are exactly Infer's, so outputs are
 // bit-identical to serial single-sample calls. Safe for concurrent use.

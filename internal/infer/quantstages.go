@@ -14,7 +14,7 @@ import (
 // Integer stages: the convStage[int32] and linearStage[int32] instantiations
 // (stages.go). Weights are QCSR levels (per-output-channel power-of-two
 // scales), held as int32 in the same synapse tables the float stages use,
-// and events accumulate in int32 through the same walks (convScatter,
+// and events accumulate in int32 through the same walks (ConvTable.Scatter,
 // linearScatter); the accumulator leaves integer exactly once per output
 // element and timestep, at the requantization affine
 //
@@ -97,7 +97,7 @@ func (c *compiler) quantizeWeight(p *layers.Param, kind string) ([]int32, epilog
 // scatter's inv: 1 on a spike input (invIn == 0), where every event must
 // be exactly 1, and invIn on a QuantInt input, where every event must be
 // an exact level. kind names the stage in the panic.
-func gridEvents(events []Event, invIn float32, kind string) float32 {
+func gridEvents(events []sparse.Event, invIn float32, kind string) float32 {
 	if invIn == 0 {
 		for _, ev := range events {
 			if ev.Val != 1 {

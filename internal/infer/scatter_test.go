@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"ndsnn/internal/rng"
+	"ndsnn/internal/sparse"
 )
 
-// The per-kind conv walks the stages ran before they shared convScatter,
-// kept unedited as its oracle: the float walk, the spike-fed integer walk
-// and the grid-fed integer walk, over tables of (f, ki, kj, weight) entries
-// grouped by input channel. floatConvEntry is the float walk's old
-// convEntry, renamed because convEntry is now the generic table entry.
+// The per-kind conv walks the stages ran before they shared one synapse
+// walk (now sparse.ConvTable.Scatter), kept as its oracle: the float walk,
+// the spike-fed integer walk and the grid-fed integer walk, over tables of
+// (f, ki, kj, weight) entries grouped by input channel. floatConvEntry is
+// the float walk's old convEntry.
 
 type floatConvEntry struct {
 	f      int32 // output channel
@@ -29,7 +30,7 @@ type qconvEntry struct {
 // convScatterEvents accumulates every (event × synapse) contribution of one
 // timestep into the output buffer — the inner walk of the float conv stage.
 // Returns the accumulate count (SynOps).
-func convScatterEvents(out []float32, events []Event, perChannel [][]floatConvEntry,
+func convScatterEvents(out []float32, events []sparse.Event, perChannel [][]floatConvEntry,
 	h, w, oh, ow, p, stride, pad int) int64 {
 	var ops int64
 	for _, ev := range events {
@@ -60,7 +61,7 @@ func convScatterEvents(out []float32, events []Event, perChannel [][]floatConvEn
 // contribution of one timestep into the int32 accumulator — convScatterEvents
 // with the multiply dropped (binary events × integer levels = adds). Returns
 // the accumulate count (SynOps).
-func qconvScatterEvents(acc []int32, events []Event, perChannel [][]qconvEntry,
+func qconvScatterEvents(acc []int32, events []sparse.Event, perChannel [][]qconvEntry,
 	h, w, oh, ow, p, stride, pad int) int64 {
 	var ops int64
 	for _, ev := range events {
@@ -91,7 +92,7 @@ func qconvScatterEvents(acc []int32, events []Event, perChannel [][]qconvEntry,
 // power of two; step validated the event list), and the accumulate is
 // level×level products instead of adds. The op count (SynOps) is unchanged:
 // one op per (event × active synapse), whatever the event's magnitude.
-func qconvScatterEventsGraded(acc []int32, events []Event, perChannel [][]qconvEntry,
+func qconvScatterEventsGraded(acc []int32, events []sparse.Event, perChannel [][]qconvEntry,
 	h, w, oh, ow, p, stride, pad int, invIn float32) int64 {
 	var ops int64
 	for _, ev := range events {
@@ -143,18 +144,18 @@ func oracleTables(wf []float32, wq []int32, outC, inC, k int) ([][]floatConvEntr
 
 // randomEvents returns events at an ascending random subset of n positions
 // (about half), each valued by val.
-func randomEvents(r *rng.RNG, n int, val func() float32) []Event {
-	var evs []Event
+func randomEvents(r *rng.RNG, n int, val func() float32) []sparse.Event {
+	var evs []sparse.Event
 	for i := 0; i < n; i++ {
 		if r.Bernoulli(0.5) {
-			evs = append(evs, Event{int32(i), val()})
+			evs = append(evs, sparse.Event{Idx: int32(i), Val: val()})
 		}
 	}
 	return evs
 }
 
-// TestConvScatterMatchesOracle pins the shared conv walk, over tables from
-// the production builder, against the three walks it replaced on random
+// TestConvScatterMatchesOracle pins the shared conv walk, over the value-keyed
+// tables the engine compiles, against the three walks it replaced on random
 // weights, for float, spike and grid events: bit-identical outputs
 // (math.Float32bits on the float walk) and equal SynOps.
 func TestConvScatterMatchesOracle(t *testing.T) {
@@ -182,8 +183,8 @@ func TestConvScatterMatchesOracle(t *testing.T) {
 				wf[i], wq[i] = r.NormFloat32(), int32(r.Intn(255))-127|1
 			}
 			fOld, qOld := oracleTables(wf, wq, g.outC, g.inC, g.k)
-			fNew := newConvTable(wf, g.outC, g.inC, g.k, g.stride)
-			qNew := newConvTable(wq, g.outC, g.inC, g.k, g.stride)
+			fNew := sparse.NewConvTable(wf, nil, g.outC, g.inC, g.k, g.stride, g.pad)
+			qNew := sparse.NewConvTable(wq, nil, g.outC, g.inC, g.k, g.stride, g.pad)
 			h := g.h
 			oh := (h+2*g.pad-g.k)/g.stride + 1
 			p := oh * oh
@@ -192,7 +193,7 @@ func TestConvScatterMatchesOracle(t *testing.T) {
 			evs := randomEvents(r, n, r.NormFloat32)
 			want, got := make([]float32, g.outC*p), make([]float32, g.outC*p)
 			wantOps := convScatterEvents(want, evs, fOld, h, h, oh, oh, p, g.stride, g.pad)
-			gotOps := convScatter(got, evs, fNew, 1, h, h, oh, oh, g.stride, g.pad)
+			gotOps := fNew.Scatter(got, evs, 1, h, h, oh, oh)
 			if gotOps != wantOps {
 				t.Fatalf("%s float: SynOps %d, oracle %d", name, gotOps, wantOps)
 			}
@@ -206,7 +207,7 @@ func TestConvScatterMatchesOracle(t *testing.T) {
 			grid := randomEvents(r, n, func() float32 { return float32(int32(r.Intn(255))-127|1) / gridInv })
 			for _, c := range []struct {
 				kind string
-				evs  []Event
+				evs  []sparse.Event
 				inv  float32
 			}{{"spike", spikes, 1}, {"grid", grid, gridInv}} {
 				want, got := make([]int32, g.outC*p), make([]int32, g.outC*p)
@@ -216,7 +217,7 @@ func TestConvScatterMatchesOracle(t *testing.T) {
 				} else {
 					wantOps = qconvScatterEventsGraded(want, c.evs, qOld, h, h, oh, oh, p, g.stride, g.pad, c.inv)
 				}
-				gotOps := convScatter(got, c.evs, qNew, c.inv, h, h, oh, oh, g.stride, g.pad)
+				gotOps := qNew.Scatter(got, c.evs, c.inv, h, h, oh, oh)
 				if gotOps != wantOps {
 					t.Fatalf("%s %s: SynOps %d, oracle %d", name, c.kind, gotOps, wantOps)
 				}
@@ -278,7 +279,7 @@ func TestLinearScatterMatchesDenseMatVec(t *testing.T) {
 		grid := randomEvents(r, in, func() float32 { return float32(int32(r.Intn(255))-127|1) / gridInv })
 		for _, c := range []struct {
 			kind string
-			evs  []Event
+			evs  []sparse.Event
 			inv  float32
 		}{{"spike", spikes, 1}, {"grid", grid, gridInv}} {
 			want, got := make([]int32, out), make([]int32, out)

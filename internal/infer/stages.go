@@ -7,6 +7,7 @@ import (
 
 	"ndsnn/internal/layers"
 	"ndsnn/internal/snn"
+	"ndsnn/internal/sparse"
 	"ndsnn/internal/tensor"
 )
 
@@ -31,10 +32,6 @@ func bnFold(bn *layers.BatchNorm) (scale, shift []float32) {
 	return scale, shift
 }
 
-// weight is the accumulator type of a conv or linear stage: float32 on the
-// float stages, int32 (quantized levels) on the integer stages.
-type weight interface{ float32 | int32 }
-
 // epilogue is the per-output tail shared by every conv and linear stage:
 //
 //	y = scale·(deq·acc + bias) + shift
@@ -43,7 +40,7 @@ type weight interface{ float32 | int32 }
 // the output row's weight scale times the input grid scale, invIn is 1/input
 // grid scale (0 on binary-spike inputs), and accSlot is the int32 arena slot
 // of the accumulator.
-type epilogue[W weight] struct {
+type epilogue[W sparse.Weight] struct {
 	deq          []float32 // per output
 	bias         []float32 // layer bias (may be nil)
 	scale, shift []float32 // folded BN (may be nil)
@@ -56,7 +53,7 @@ type epilogue[W weight] struct {
 // output buffer, and takes every event value as it is. An integer stage
 // accumulates in its int32 arena slot, once gridEvents has checked the input
 // events against the compiled grid (kind names the stage in its panic).
-func (ep *epilogue[W]) accumulator(sc *Scratch, out []float32, events []Event, kind string) (acc []W, inv float32) {
+func (ep *epilogue[W]) accumulator(sc *Scratch, out []float32, events []sparse.Event, kind string) (acc []W, inv float32) {
 	switch a := any(&acc).(type) {
 	case *[]float32:
 		*a = out
@@ -104,97 +101,25 @@ func (ep *epilogue[W]) apply(sc *Scratch, out *act, acc []W, p int) {
 	}
 }
 
-// convEntry is one active synapse of a kernel offset: its output channel and
-// weight.
-type convEntry[W weight] struct {
-	f int32 // output channel
-	w W
-}
-
-// convTap is one kernel offset (ki, kj) of an input channel, with its active
-// synapses in output-channel order. The offset is stored as quotient and
-// remainder by the stage's stride — ki = qi·stride + ri, kj = qj·stride +
-// rj — so the walk finds the output position without dividing.
-type convTap[W weight] struct {
-	qi, ri, qj, rj int32
-	syn            []convEntry[W]
-}
-
 // convStage is an event-driven convolution over float weights or quantized
 // levels, with its bias and folded BN in the epilogue.
-type convStage[W weight] struct {
+type convStage[W sparse.Weight] struct {
 	epilogue[W]
 	inC, outC, k, stride, pad int
-	perChannel                [][]convTap[W]
+	table                     *sparse.ConvTable[W]
 	slot                      int
 	outHW                     atomic.Int64 // last seen output positions (for dense MACs)
 }
 
 // newConvStage builds the conv stage of l over w, the dense row-major
-// [outC, inC·k·k] weight matrix.
-func newConvStage[W weight](l *layers.Conv2d, w []W, ep epilogue[W], c *compiler) *convStage[W] {
+// [outC, inC·k·k] weight matrix, whose non-zeros make its synapse table.
+func newConvStage[W sparse.Weight](l *layers.Conv2d, w []W, ep epilogue[W], c *compiler) *convStage[W] {
 	return &convStage[W]{
 		epilogue: ep,
 		inC:      l.InC, outC: l.OutC, k: l.K, stride: l.Stride, pad: l.Pad,
-		perChannel: newConvTable(w, l.OutC, l.InC, l.K, l.Stride),
-		slot:       c.actSlot(),
+		table: sparse.NewConvTable(w, nil, l.OutC, l.InC, l.K, l.Stride, l.Pad),
+		slot:  c.actSlot(),
 	}
-}
-
-// newConvTable builds the synapse table from w, the dense row-major
-// [outC, inC·k·k] weight matrix: its non-zeros grouped by input channel, then
-// by kernel offset in (ki, kj) order, then by output channel. An offset with
-// no non-zero gets no tap. Taps and synapses each live in one exactly sized
-// backing array.
-func newConvTable[W weight](w []W, outC, inC, k, stride int) [][]convTap[W] {
-	kk := k * k
-	cols := inC * kk
-	// Column col = ci·k² + ki·k + kj holds one offset of one input channel;
-	// its synapses are syns[start[col]:start[col+1]].
-	start := make([]int, cols+1)
-	for f := 0; f < outC; f++ {
-		for col, v := range w[f*cols : (f+1)*cols] {
-			if v != 0 {
-				start[col+1]++
-			}
-		}
-	}
-	nTaps := 0
-	for col := 0; col < cols; col++ {
-		if start[col+1] != 0 {
-			nTaps++
-		}
-		start[col+1] += start[col]
-	}
-	syns := make([]convEntry[W], start[cols])
-	next := append([]int(nil), start[:cols]...)
-	for f := 0; f < outC; f++ {
-		for col, v := range w[f*cols : (f+1)*cols] {
-			if v != 0 {
-				syns[next[col]] = convEntry[W]{int32(f), v}
-				next[col]++
-			}
-		}
-	}
-	taps := make([]convTap[W], 0, nTaps)
-	table := make([][]convTap[W], inC)
-	for ci := range table {
-		first := len(taps)
-		for off := 0; off < kk; off++ {
-			lo, hi := start[ci*kk+off], start[ci*kk+off+1]
-			if lo == hi {
-				continue
-			}
-			ki, kj := off/k, off%k
-			taps = append(taps, convTap[W]{
-				qi: int32(ki / stride), ri: int32(ki % stride),
-				qj: int32(kj / stride), rj: int32(kj % stride),
-				syn: syns[lo:hi:hi],
-			})
-		}
-		table[ci] = taps[first:len(taps):len(taps)]
-	}
-	return table
 }
 
 // denseMACs is the dense-implementation MAC bound — outC·inC·k²·outHW — from
@@ -214,69 +139,21 @@ func (s *convStage[W]) step(sc *Scratch, in *act) *act {
 	}
 	out := sc.actBuf3(s.slot, s.outC, oh, ow)
 	acc, inv := s.accumulator(sc, out.data, in.events, "conv")
-	sc.synOps += convScatter(acc, in.events, s.perChannel, inv, h, w, oh, ow, s.stride, s.pad)
+	sc.synOps += s.table.Scatter(acc, in.events, inv, h, w, oh, ow)
 	s.apply(sc, out, acc, oh*ow)
 	return out
 }
 
-// convScatter is the synapse walk of every conv stage: it accumulates each
-// (event × synapse) contribution of one timestep into out and returns the
-// accumulate count (SynOps). An event contributes W(ev.Val·inv) to each of
-// its synapses. inv is 1 on the float stages, where the contribution is
-// the event value itself, and on spike-fed integer stages, where it is the
-// spike's 1. On a grid-fed integer stage inv is 1/scale, which recovers the
-// event's integer level exactly.
-//
-// An event at (y, x) reaches output (oy, ox) through offset (ki, kj) when
-// y + pad = oy·stride + ki, and likewise for x. With y + pad = yq·stride + yr
-// and ki = qi·stride + ri, that holds exactly when yr == ri, and then
-// oy = yq − qi. So the walk divides by the stride once per event, checks
-// each tap's residues and bounds, and adds into one output position per
-// (event, tap).
-//
-// Each output receives at most one term per event (the offset is fixed by
-// the event and output positions), and events are visited in list order, so
-// every output receives its terms in dense (ci, ki, kj) order.
-func convScatter[W weight](out []W, events []Event, perChannel [][]convTap[W], inv float32,
-	h, w, oh, ow, stride, pad int) int64 {
-	p := oh * ow
-	var ops int64
-	for _, ev := range events {
-		v := W(ev.Val * inv)
-		idx := int(ev.Idx)
-		ci := idx / (h * w)
-		rem := idx % (h * w)
-		y, x := rem/w+pad, rem%w+pad
-		yq, yr := int32(y/stride), int32(y%stride)
-		xq, xr := int32(x/stride), int32(x%stride)
-		taps := perChannel[ci]
-		for i := range taps {
-			tp := &taps[i]
-			oy, ox := yq-tp.qi, xq-tp.qj
-			// A negative oy or ox converts to a uint above any bound.
-			if tp.ri != yr || tp.rj != xr || uint(oy) >= uint(oh) || uint(ox) >= uint(ow) {
-				continue
-			}
-			pos := int(oy)*ow + int(ox)
-			for _, en := range tp.syn {
-				out[int(en.f)*p+pos] += en.w * v
-			}
-			ops += int64(len(tp.syn))
-		}
-	}
-	return ops
-}
-
 // linearEntry is one active synapse of an event-driven linear layer,
 // grouped by presynaptic index.
-type linearEntry[W weight] struct {
+type linearEntry[W sparse.Weight] struct {
 	out int32
 	w   W
 }
 
-// linearScatter is convScatter for the linear stages: each event adds
+// linearScatter is sparse.ConvTable.Scatter for the linear stages: each event adds
 // W(ev.Val·inv)·w into every output its input index reaches.
-func linearScatter[W weight](out []W, events []Event, perInput [][]linearEntry[W], inv float32) int64 {
+func linearScatter[W sparse.Weight](out []W, events []sparse.Event, perInput [][]linearEntry[W], inv float32) int64 {
 	var ops int64
 	for _, ev := range events {
 		v := W(ev.Val * inv)
@@ -290,7 +167,7 @@ func linearScatter[W weight](out []W, events []Event, perInput [][]linearEntry[W
 
 // linearStage is an event-driven fully-connected layer over float weights or
 // quantized levels, with its bias and folded BN in the epilogue.
-type linearStage[W weight] struct {
+type linearStage[W sparse.Weight] struct {
 	epilogue[W]
 	in, out  int
 	perInput [][]linearEntry[W]
@@ -299,7 +176,7 @@ type linearStage[W weight] struct {
 
 // newLinearStage builds the synapse table from w, the dense row-major
 // [out, in] weight matrix: its non-zeros grouped by input, in output order.
-func newLinearStage[W weight](l *layers.Linear, w []W, ep epilogue[W], c *compiler) *linearStage[W] {
+func newLinearStage[W sparse.Weight](l *layers.Linear, w []W, ep epilogue[W], c *compiler) *linearStage[W] {
 	s := &linearStage[W]{epilogue: ep, in: l.In, out: l.Out, perInput: make([][]linearEntry[W], l.In), slot: c.actSlot()}
 	for o := 0; o < l.Out; o++ {
 		for i, v := range w[o*l.In : (o+1)*l.In] {

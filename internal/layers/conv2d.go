@@ -26,6 +26,10 @@ type Conv2d struct {
 	// they are binary spike tensors (see package tape). BackwardSeq replays it.
 	xs     tape.Stack
 	events eventTally
+	// table is the synapse table of the CSR encoding tableFor, which the
+	// event-driven forward and the fused replay's weight gradient walk.
+	table    *sparse.ConvTable[float32]
+	tableFor *sparse.CSR
 }
 
 // NewConv2d constructs a convolution layer with Kaiming-normal weights.
@@ -79,15 +83,13 @@ func (l *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // ForwardSeq computes all T timesteps of a batch in one call, one sample at a
 // time across the worker pool. When the weight is CSR-encoded and a sample's
-// input is binary at every timestep with fused im2col occupancy at most
-// EventMaxRate, its T event patterns are built straight from the spike
-// positions, merged with sparse.FuseTimesteps, and one
-// CSCMatMulEventsSerialInto computes all T products in a single traversal of
-// the weight matrix: work scales with weightDensity × spikeOccupancy. Any
-// other sample (analog input such as the first layer under direct encoding
-// or post-BatchNorm currents, a hot sample, or a dense weight) runs im2col and
-// the weight-only CSR or dense GEMM per timestep. Both paths produce
-// bit-identical outputs.
+// input is binary at every timestep with im2col occupancy at most
+// EventMaxRate, each timestep's spike list walks the layer's synapse table
+// (sparse.ConvTable.Scatter): work scales with weightDensity × spikeRate and
+// no column matrix is built. Any other sample (analog input such as the
+// first layer under direct encoding or post-BatchNorm currents, a hot
+// sample, or a dense weight) runs im2col and the weight-only CSR or dense
+// GEMM per timestep. Both paths produce bit-identical outputs.
 //
 // During training every timestep's input is recorded on the layer's tape —
 // event-encoded when binary — and BackwardSeq replays it.
@@ -104,11 +106,14 @@ func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 	}
 	wmat := l.Weight.W.Reshape(l.OutC, ckk)
 	wcsr := l.Weight.SparseW()
-	var wcsc *sparse.CSC
+	var table *sparse.ConvTable[float32]
+	var rowHits, colHits []int
 	if wcsr != nil {
-		// The event kernel wants column-compressed weights (spikes select
-		// weight columns); gathered once here, shared read-only by workers.
-		wcsc = l.Weight.SparseWCSC()
+		// Gathered once here, shared read-only by the workers.
+		table = l.synapseTable(wcsr)
+		table.Gather(wcsr.Val)
+		rowHits = offsetHits(h, oh, l.K, l.Stride, l.Pad)
+		colHits = offsetHits(w, ow, l.K, l.Stride, l.Pad)
 	}
 	outs := make([]*tensor.Tensor, T)
 	for t := range outs {
@@ -119,64 +124,51 @@ func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 	tensor.ParallelFor(b, T*l.OutC*ckk*p, func(lo, hi int) {
 		col := make([]float32, ckk*p)
 		colT := tensor.FromSlice(col, ckk, p)
-		// Per-timestep pattern buffers, reused across samples; the fused call
-		// needs all T patterns alive at once.
-		rowPtrs := make([][]int32, T)
-		evIdxs := make([][]int32, T)
-		evs := make([]*sparse.Events, T)
-		var flat []int32
-		var ybuf *tensor.Tensor
-		if wcsr != nil {
-			for t := range rowPtrs {
-				rowPtrs[t] = make([]int32, ckk+1)
-			}
-			ybuf = tensor.New(l.OutC, T*p)
-		}
+		// Per-timestep spike lists, reused across samples: the gate needs
+		// every timestep counted before the first walk.
+		evs := make([][]sparse.Event, T)
 		var tally metrics.EventStats
 		for bi := lo; bi < hi; bi++ {
 			tally.Forwards += int64(T)
-			if wcsr != nil {
-				// Extract every binary timestep's event pattern straight from
-				// the input (O(chw + K²·nnz) — the fused kernel never reads a
-				// dense column matrix); an analog timestep rules out fusion.
-				fusable := true
-				totalNNZ := 0
+			if table != nil {
+				// List every binary timestep's spikes and count the im2col
+				// entries they fill: a spike at (y, x) fills one per kernel
+				// offset that carries it to an output, rowHits[y]·colHits[x].
+				// An analog timestep rules out the walk.
+				binary := true
+				active := 0
 				for t := 0; t < T; t++ {
-					src := xs[t].Data[bi*chw : (bi+1)*chw]
-					flat = flat[:0]
-					binary := true
-					for i, v := range src {
+					ev := evs[t][:0]
+					n := 0
+					for i, v := range xs[t].Data[bi*chw : (bi+1)*chw] {
 						if v == 0 {
 							continue
 						}
 						if v != 1 {
-							binary = false
+							n = -1
 							break
 						}
-						flat = append(flat, int32(i))
+						ev = append(ev, sparse.Event{Idx: int32(i), Val: 1})
+						rem := i % (h * w)
+						n += rowHits[rem/w] * colHits[rem%w]
 					}
-					if !binary {
-						fusable = false
+					if n < 0 {
+						binary = false
 						continue
 					}
-					evIdxs[t] = tensor.Im2ColPatternFromEvents(flat, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, rowPtrs[t], evIdxs[t][:0])
-					evs[t] = &sparse.Events{Rows: ckk, Cols: p, RowPtr: rowPtrs[t], ColIdx: evIdxs[t]}
-					totalNNZ += evs[t].NNZ()
+					evs[t] = ev
+					active += n
 					tally.Entries += int64(ckk * p)
-					tally.ActiveEntries += int64(evs[t].NNZ())
+					tally.ActiveEntries += int64(n)
 				}
-				occ := float64(totalNNZ) / float64(T*ckk*p)
+				occ := float64(active) / float64(T*ckk*p)
 				// maxRate > 0 keeps the documented kill switch honest: at 0, even
 				// all-zero (occupancy 0) inputs stay on the weight-only path.
-				if fusable && maxRate > 0 && occ <= maxRate {
+				if binary && maxRate > 0 && occ <= maxRate {
 					tally.EventForwards += int64(T)
-					sparse.CSCMatMulEventsSerialInto(ybuf, wcsc, sparse.FuseTimesteps(evs), false)
-					// Timestep t's output is ybuf[:, t·p:(t+1)·p].
 					for t := 0; t < T; t++ {
 						yb := tensor.FromSlice(outs[t].Data[bi*l.OutC*p:(bi+1)*l.OutC*p], l.OutC, p)
-						for f := 0; f < l.OutC; f++ {
-							copy(yb.Data[f*p:(f+1)*p], ybuf.Data[f*T*p+t*p:f*T*p+(t+1)*p])
-						}
+						table.Scatter(yb.Data, evs[t], 1, h, w, oh, ow)
 						l.addBias(yb, p)
 					}
 					continue
@@ -201,6 +193,33 @@ func (l *Conv2d) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 		}
 	}
 	return outs
+}
+
+// synapseTable returns the synapse table of wcsr's pattern, the layer's
+// cached one while SparseW keeps returning the same encoding and a new one,
+// keyed on the weight's mask like the encoding, once it changes. Its
+// weights are whatever the last Gather left.
+func (l *Conv2d) synapseTable(wcsr *sparse.CSR) *sparse.ConvTable[float32] {
+	if l.tableFor != wcsr {
+		l.table = sparse.NewConvTable(l.Weight.W.Data, l.Weight.Mask.Data, l.OutC, l.InC, l.K, l.Stride, l.Pad)
+		l.tableFor = wcsr
+	}
+	return l.table
+}
+
+// offsetHits returns, for each input coordinate along an axis of n, the
+// number of the k kernel offsets that carry it to one of the axis's on
+// outputs: the im2col entries a spike there fills along that axis.
+func offsetHits(n, on, k, stride, pad int) []int {
+	hits := make([]int, n)
+	for y := range hits {
+		for ki := 0; ki < k; ki++ {
+			if ty := y + pad - ki; ty >= 0 && ty%stride == 0 && ty/stride < on {
+				hits[y]++
+			}
+		}
+	}
+	return hits
 }
 
 // EventStats returns the event-driven fast-path counters accumulated since
@@ -313,17 +332,16 @@ func (l *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // and returns the input gradient of every timestep.
 //
 // When the weight is CSR, active-position-only gradients are armed and every
-// record is event-encoded, the T im2col event patterns are rebuilt straight
-// from the recorded spikes, merged by FuseTimesteps, and consumed by ONE
-// events SDDMM against the column-concatenated dy; backward-data likewise
-// pays a single weight traversal for all T timesteps. Backward-weight work
-// then scales with weightDensity × spikeOccupancy like the forward pass.
-// Otherwise the timesteps replay newest first, each through its own batch
-// reduction: im2col over the decoded or dense record, then the
-// active-position CSR SDDMM or the dense dy·colᵀ GEMM. Input gradients are
-// identical on both paths; the fused one accumulates weight and bias
-// gradients over the timesteps in ascending instead of descending order
-// (float rounding only).
+// record is event-encoded, each sample's recorded spike lists walk the
+// layer's synapse table (sparse.ConvTable.ScatterGrad), timestep by
+// timestep, into its live-weight gradient, so backward-weight work scales
+// with weightDensity × spikeRate like the forward pass; backward-data pays a
+// single weight traversal for all T timesteps. Otherwise the timesteps
+// replay newest first, each through its own batch reduction: im2col over the
+// decoded or dense record, then the active-position CSR SDDMM or the dense
+// dy·colᵀ GEMM. Input gradients are identical on both paths; the fused one
+// accumulates weight and bias gradients over the timesteps in ascending
+// instead of descending order (float rounding only).
 func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
 	T := len(dys)
 	if T == 0 {
@@ -354,30 +372,22 @@ func (l *Conv2d) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {
 	}
 
 	if fused {
+		table := l.synapseTable(wcsr)
 		l.parallelGrad(b, ckk, wcsr, true, func() sampleGrad {
-			rowPtrs := make([][]int32, T)
-			evIdxs := make([][]int32, T)
-			evs := make([]*sparse.Events, T)
-			for t := range rowPtrs {
-				rowPtrs[t] = make([]int32, ckk+1)
-			}
 			dyF := tensor.New(l.OutC, T*p)
 			dcolF := tensor.New(ckk, T*p)
 			dcol := make([]float32, ckk*p)
 			return func(bi int, _ *tensor.Tensor, valLocal, dbLocal []float32) {
 				for t := 0; t < T; t++ {
 					xEv := recs[t].Events()
-					flat := xEv.ColIdx[xEv.RowPtr[bi]:xEv.RowPtr[bi+1]]
-					evIdxs[t] = tensor.Im2ColPatternFromEvents(flat, c, h, w, l.K, l.K, l.Stride, l.Pad, oh, ow, rowPtrs[t], evIdxs[t][:0])
-					evs[t] = &sparse.Events{Rows: ckk, Cols: p, RowPtr: rowPtrs[t], ColIdx: evIdxs[t]}
+					dy := dys[t].Data[bi*l.OutC*p : (bi+1)*l.OutC*p]
+					table.ScatterGrad(valLocal, xEv.ColIdx[xEv.RowPtr[bi]:xEv.RowPtr[bi+1]], dy, h, w, oh, ow)
 					// Column-concatenate the timestep gradients: dyF[f] holds
-					// [t0 | t1 | …], matching the fused pattern's layout.
-					src := dys[t].Data[bi*l.OutC*p : (bi+1)*l.OutC*p]
+					// [t0 | t1 | …].
 					for f := 0; f < l.OutC; f++ {
-						copy(dyF.Data[f*T*p+t*p:f*T*p+(t+1)*p], src[f*p:(f+1)*p])
+						copy(dyF.Data[f*T*p+t*p:f*T*p+(t+1)*p], dy[f*p:(f+1)*p])
 					}
 				}
-				sparse.CSRGradABTEventsSerial(valLocal, wcsr, dyF, sparse.FuseTimesteps(evs))
 				sparse.CSRMatMulATBSerialInto(dcolF, wcsr, dyF, false)
 				for t := 0; t < T; t++ {
 					for cc := 0; cc < ckk; cc++ {

@@ -34,39 +34,88 @@ func spikeTensor(r *rng.RNG, rate float64, shape ...int) *tensor.Tensor {
 
 var eventRates = []float64{0, 0.05, 0.5, 1.0}
 
+// zeroLiveWeight sets the first live weight of a masked parameter to exactly
+// zero, keeping its mask bit: a synapse grown at zero.
+func zeroLiveWeight(p *layers.Param) {
+	for i, m := range p.Mask.Data {
+		if m != 0 {
+			p.W.Data[i] = 0
+			return
+		}
+	}
+}
+
+// im2colNNZ counts the non-zeros tensor.Im2Col writes for every sample of a
+// [B,C,H,W] input: the im2col entries a binary timestep fills.
+func im2colNNZ(x *tensor.Tensor, k, stride, pad int) int64 {
+	b, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	oh, ow := tensor.ConvOutSize(h, k, stride, pad), tensor.ConvOutSize(w, k, stride, pad)
+	col := make([]float32, c*k*k*oh*ow)
+	var n int64
+	for bi := 0; bi < b; bi++ {
+		tensor.Im2Col(col, x.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w, k, k, stride, pad, oh, ow)
+		for _, v := range col {
+			if v != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// sameBits fails the test unless got and want hold the same bits.
+func sameBits(t *testing.T, label string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %v, want %v", label, got.Shape(), want.Shape())
+	}
+	for i, v := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+			t.Fatalf("%s: element %d is %v, dense %v", label, i, got.Data[i], v)
+		}
+	}
+}
+
 // TestConv2dEventPathMatchesDense is the layer-level event-driven ≡ dense
 // property: for binary inputs across spike rates (including all-zero and
-// all-ones), the event-driven forward must match the dense forward within
-// 1e-5 (it is in fact bit-identical).
+// all-ones), over a stride-1 and a stride-2 conv with h ≠ w, with one live
+// weight of exactly zero, the event-driven forward matches the dense forward
+// bit for bit, and its counters record exactly the non-zeros of the im2col
+// matrix.
 func TestConv2dEventPathMatchesDense(t *testing.T) {
-	for _, rate := range eventRates {
-		r := rng.New(201 + uint64(rate*100))
-		l := layers.NewConv2d("c", 4, 8, 3, 1, 1, true, r)
-		maskParam(l.Weight, 0.2, r)
-		x := spikeTensor(r, rate, 2, 4, 6, 6)
+	geoms := []struct{ inC, outC, k, stride, pad, h, w int }{
+		{4, 8, 3, 1, 1, 6, 6},
+		{3, 5, 3, 2, 1, 7, 5},
+	}
+	for gi, g := range geoms {
+		for _, rate := range eventRates {
+			label := fmt.Sprintf("geom %d (stride %d, %dx%d) rate %v", gi, g.stride, g.h, g.w, rate)
+			r := rng.New(201 + uint64(10*gi) + uint64(rate*100))
+			l := layers.NewConv2d("c", g.inC, g.outC, g.k, g.stride, g.pad, true, r)
+			maskParam(l.Weight, 0.2, r)
+			zeroLiveWeight(l.Weight)
+			x := spikeTensor(r, rate, 2, g.inC, g.h, g.w)
 
-		var yD, yE *tensor.Tensor
-		withCSRDensity(0, func() { yD = l.Forward(x.Clone(), false) })
-		l.Weight.InvalidateCSR()
-		withCSRDensity(1, func() {
-			withEventRate(1, func() { yE = l.Forward(x.Clone(), false) })
-		})
-		l.Weight.InvalidateCSR()
+			var yD, yE *tensor.Tensor
+			withCSRDensity(0, func() { yD = l.Forward(x.Clone(), false) })
+			l.Weight.InvalidateCSR()
+			withCSRDensity(1, func() {
+				withEventRate(1, func() { yE = l.Forward(x.Clone(), false) })
+			})
+			l.Weight.InvalidateCSR()
 
-		st := l.EventStats()
-		if st.EventForwards != st.Forwards/2 || st.EventForwards == 0 {
-			t.Fatalf("rate %v: event path took %d of %d forwards, want the CSR half", rate, st.EventForwards, st.Forwards)
-		}
-		if d := maxDiff(yD, yE); d > 1e-5 {
-			t.Fatalf("rate %v: event forward differs from dense by %v", rate, d)
-		}
-		// Occupancy is measured over the im2col expansion, so sanity-check
-		// the bounds and the exact edge cases rather than an exact count.
-		if rate == 0 && st.ActiveEntries != 0 {
-			t.Fatalf("all-zero input recorded %d active entries", st.ActiveEntries)
-		}
-		if st.ActiveEntries > st.Entries {
-			t.Fatalf("rate %v: counters inconsistent: %+v", rate, st)
+			st := l.EventStats()
+			if st.EventForwards != st.Forwards/2 || st.EventForwards == 0 {
+				t.Fatalf("%s: event path took %d of %d forwards, want the CSR half", label, st.EventForwards, st.Forwards)
+			}
+			sameBits(t, label, yE, yD)
+			oh, ow := yD.Dim(2), yD.Dim(3)
+			if want := int64(2 * g.inC * g.k * g.k * oh * ow); st.Entries != want {
+				t.Fatalf("%s: %d entries, want %d", label, st.Entries, want)
+			}
+			if want := im2colNNZ(x, g.k, g.stride, g.pad); st.ActiveEntries != want {
+				t.Fatalf("%s: %d active entries, im2col has %d non-zeros", label, st.ActiveEntries, want)
+			}
 		}
 	}
 }
@@ -76,6 +125,7 @@ func TestLinearEventPathMatchesDense(t *testing.T) {
 		r := rng.New(211 + uint64(rate*100))
 		l := layers.NewLinear("fc", 40, 12, true, r)
 		maskParam(l.Weight, 0.15, r)
+		zeroLiveWeight(l.Weight)
 		x := spikeTensor(r, rate, 5, 40)
 
 		var yD, yE *tensor.Tensor
@@ -90,8 +140,9 @@ func TestLinearEventPathMatchesDense(t *testing.T) {
 		if st.EventForwards == 0 {
 			t.Fatalf("rate %v: event path never engaged", rate)
 		}
-		if d := maxDiff(yD, yE); d > 1e-5 {
-			t.Fatalf("rate %v: event forward differs from dense by %v", rate, d)
+		sameBits(t, fmt.Sprintf("rate %v", rate), yE, yD)
+		if want := im2colNNZ(x.Reshape(5, 40, 1, 1), 1, 1, 0); st.ActiveEntries != want {
+			t.Fatalf("rate %v: %d active entries, im2col has %d non-zeros", rate, st.ActiveEntries, want)
 		}
 	}
 }

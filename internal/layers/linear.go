@@ -56,8 +56,8 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // ForwardSeq computes y = x·Wᵀ (+ bias) for all T timesteps through
 // Conv2d.ForwardSeq: a sample whose inputs are binary at every timestep
-// with fused occupancy at most EventMaxRate takes the event-driven path
-// against a CSR weight, any other sample the weight-only CSR or dense GEMM.
+// with im2col occupancy at most EventMaxRate walks the synapse table of a
+// CSR weight, any other sample the weight-only CSR or dense GEMM.
 // All paths are bit-identical. During training the [B,In,1,1] views are
 // recorded on the tape, event-encoded when binary.
 func (l *Linear) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {

@@ -38,12 +38,10 @@ type Param struct {
 	// false by default so gradient checks and baselines stay exact.
 	SparseGradOK bool
 
-	// csr/csc cache the sparse encodings of W managed by
-	// SparseW/SparseWCSC/InvalidateCSR; csrDensity caches the mask's
-	// live-weight density for the threshold check (-1 = not measured since
-	// the last invalidation).
+	// csr caches the CSR encoding of W managed by SparseW/InvalidateCSR;
+	// csrDensity caches the mask's live-weight density for the threshold
+	// check (-1 = not measured since the last invalidation).
 	csr        *sparse.CSR
-	csc        *sparse.CSC
 	csrDensity float64
 }
 

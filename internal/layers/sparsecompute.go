@@ -25,12 +25,15 @@ import "ndsnn/internal/sparse"
 // without an explicit invalidation.
 var CSRMaxDensity = 0.5
 
-// EventMaxRate is the spike occupancy (fraction of non-zero activation
-// entries) above which the event-driven forward falls back to the
-// weight-only CSR kernel. The event kernels replace each stored weight's
-// n-wide multiply-add sweep with one indexed add per spike, so they win
-// while occupancy × (indexed-add cost) < (contiguous multiply-add cost);
-// past roughly a third occupancy the scattered writes lose. Like
+// EventMaxRate is the spike occupancy (fraction of non-zero im2col entries
+// over all of a sample's timesteps) above which the event-driven forward
+// falls back to im2col and the weight-only CSR kernel. The synapse walk does
+// one indexed add per (spike, kernel offset, live synapse), where the CSR
+// kernel streams every live weight across all output positions. Timed
+// against im2col plus the CSR kernel on 16×16 maps at 8–64 channels and
+// weight densities 0.1–0.5 (2-CPU host), the walk won up to an occupancy of
+// about 0.3–0.4 at stride 1 (0.2–0.3 at 64 channels) but only about 0.2 at
+// stride 2; 0.3 sits at the stride-1 crossover, where most convs run. Like
 // CSRMaxDensity it is a variable so tests and benchmarks can force either
 // path (0 disables the event path, 1 takes it for any binary input).
 var EventMaxRate = 0.3
@@ -71,43 +74,16 @@ func (p *Param) csrEligible() bool {
 	return p.csrDensity <= CSRMaxDensity
 }
 
-// SparseWCSC returns the cached CSC (column-compressed) view of the
-// parameter's weight matrix with freshly gathered values — the access order
-// the event-driven forward needs (incoming spikes select weight columns).
-// It returns nil exactly when SparseW does; the CSC pattern is derived from
-// the CSR pattern and shares its invalidation. Only the CSC values are
-// gathered here, so callers that need both views (the conv forward, for its
-// per-sample dense-input fallback) pay one O(nnz) gather per view, not two.
-//
-// Not safe for concurrent use, like SparseW.
-func (p *Param) SparseWCSC() *sparse.CSC {
-	if !p.csrEligible() {
-		return nil
-	}
-	if p.csc == nil {
-		if p.csr == nil {
-			p.SparseW() // materialize the pattern once
-		}
-		// NewCSCFromCSR copies whatever values the CSR holds, which may be
-		// stale if SparseW was not called this step — re-gather to be safe
-		// (once per topology, O(nnz)).
-		p.csc = sparse.NewCSCFromCSR(p.csr)
-	}
-	p.csc.GatherValues(p.W)
-	return p.csc
-}
-
 // CSRCached reports whether a CSR encoding is currently cached — an
 // introspection hook for tests that pin the cache-discipline contract
 // (e.g. that weight-mutating operations like quantization invalidate).
 func (p *Param) CSRCached() bool { return p.csr != nil }
 
-// InvalidateCSR drops the cached CSR/CSC encodings and density. Call
+// InvalidateCSR drops the cached CSR encoding and density. Call
 // after any change to the mask topology; value-only changes (optimizer
 // steps, weight rewinds) do not need it because SparseW re-gathers values on
 // every call.
 func (p *Param) InvalidateCSR() {
 	p.csr = nil
-	p.csc = nil
 	p.csrDensity = -1
 }

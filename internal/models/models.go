@@ -78,8 +78,8 @@ type Config struct {
 }
 
 // Build constructs the requested architecture. Every network runs the tape
-// engine's time-major (layer-major) schedule, where the fused-timestep
-// kernels live; the old step-major loop is pinned as golden fixtures in the
+// engine's time-major (layer-major) schedule, where the sequence forwards
+// and backwards live; the old step-major loop is pinned as golden fixtures in the
 // snn package's equivalence tests.
 func Build(cfg Config) *snn.Network {
 	switch cfg.Arch {

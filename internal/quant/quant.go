@@ -56,7 +56,7 @@ func Quantize(w *tensor.Tensor, bits int) (*tensor.Tensor, float32, error) {
 // parameters (BN affines, biases) are untouched, matching mixed-precision
 // deployments that keep normalization in higher precision.
 //
-// Mutating W drops the parameter's cached CSR/CSC encodings: small weights
+// Mutating W drops the parameter's cached CSR encoding: small weights
 // round to exactly zero under quantization, and an encoding gathered from
 // the pre-quantization values would keep paying synaptic work (and stale
 // density) for those dead synapses. Callers restoring the weights afterwards

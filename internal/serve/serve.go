@@ -6,8 +6,7 @@
 // The serving primitive is request coalescing: concurrent single-sample
 // Classify/Infer calls are batched into one stage-major engine pass
 // (Engine.InferBatch), which traverses each stage's compiled weight tables
-// while cache-hot for the whole batch — the FuseTimesteps amortization
-// argument applied across requests instead of across timesteps. Because the
+// while cache-hot for the whole batch. Because the
 // batched pass preserves every sample's exact serial arithmetic, serving
 // output is bit-identical to the serial single-caller engine.
 //

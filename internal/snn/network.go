@@ -33,9 +33,9 @@ type Network struct {
 // Forward resets temporal state and runs the network time-major through the
 // tape execution engine: all T timestep inputs are materialized up front and
 // tape.Run drives each layer across the whole sequence, which lets Conv2d
-// (and Linear, its 1×1 case) fuse the timesteps of a sample into one weight
-// traversal each way (sparse.FuseTimesteps). It returns the
-// output of the final layer at each timestep. The step-major schedule this
+// (and Linear, its 1×1 case) gate a sample's event path on all its
+// timesteps and replay them in one backward pass. It returns the output of
+// the final layer at each timestep. The step-major schedule this
 // replaced — timesteps outer, layers inner — is pinned as golden fixtures in
 // tape_equiv_test.go; the two orders accumulate identical results for these
 // temporally-unrolled feedforward networks.

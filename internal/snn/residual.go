@@ -55,9 +55,9 @@ func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // ForwardSeq runs all T timesteps time-major through both paths: the
-// sublayer chains are driven by the tape engine (so the inner convolutions
-// get the fused batched-timestep GEMM), with the per-timestep addition in
-// between. Identical to T Forward calls.
+// sublayer chains are driven by the tape engine (so each inner convolution
+// sees a sample's whole spike sequence, which its event gate needs), with
+// the per-timestep addition in between. Identical to T Forward calls.
 func (b *ResidualBlock) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Tensor {
 	main := tape.Run([]tape.Layer{b.Conv1, b.BN1, b.LIF1, b.Conv2, b.BN2}, xs, train)
 	sc := xs
@@ -76,7 +76,7 @@ func (b *ResidualBlock) ForwardSeq(xs []*tensor.Tensor, train bool) []*tensor.Te
 
 // BackwardSeq replays the whole tape time-major through both paths: each
 // sublayer chain is driven by tape.RunBackward, so fused sequence backwards
-// (Conv2d's stacked-timestep SDDMM) engage.
+// (Conv2d's gradient walk over the recorded spike lists) engage.
 // Accumulates the same parameter gradients and returns the same input
 // gradients as T Backward calls, up to float summation order.
 func (b *ResidualBlock) BackwardSeq(dys []*tensor.Tensor) []*tensor.Tensor {

@@ -29,7 +29,8 @@ func medianOf3(fn func()) time.Duration {
 // Wall-clock on shared hosts is noisy, so the floors only catch a broken
 // engine: each sparse kernel must run at no less than half its baseline's
 // speed, where the expected margins are ~30× (CSR training step at 99%) and
-// ~2× (event forward at 90% weight sparsity, 10% spikes).
+// 3–5× (the synapse walk against im2col plus the weight-only CSR kernel, at
+// 90% weight sparsity and 10% spikes).
 func TestSparseKernelSpeedFloors(t *testing.T) {
 	const rows, cols, patch = 512, 4608, 16
 	t.Run("csr-step-vs-dense", func(t *testing.T) {
@@ -58,19 +59,29 @@ func TestSparseKernelSpeedFloors(t *testing.T) {
 		}
 	})
 	t.Run("event-vs-csr", func(t *testing.T) {
+		const inC, side = 512, 4
 		r := rng.New(907)
-		_, c := maskedWeights(rows, cols, 0.10, r)
-		b := spikeMatrix(cols, patch, 0.10, r)
-		ev, ok := EncodeEvents(b)
-		if !ok {
-			t.Fatal("binary operand rejected")
+		w, c := maskedWeights(rows, cols, 0.10, r)
+		x := spikeMatrix(inC, side*side, 0.10, r)
+		var evs []Event
+		for i, v := range x.Data {
+			if v != 0 {
+				evs = append(evs, Event{Idx: int32(i), Val: v})
+			}
 		}
-		csc := NewCSCFromCSR(c)
+		table := NewConvTable(w.Data, nil, rows, inC, 3, 1, 1)
+		col := tensor.New(cols, patch)
 		y := tensor.New(rows, patch)
-		csr := medianOf3(func() { CSRMatMulSerialInto(y, c, b, false) })
-		event := medianOf3(func() { CSCMatMulEventsSerialInto(y, csc, ev, false) })
+		csr := medianOf3(func() {
+			tensor.Im2Col(col.Data, x.Data, inC, side, side, 3, 3, 1, 1, side, side)
+			CSRMatMulSerialInto(y, c, col, false)
+		})
+		event := medianOf3(func() {
+			clear(y.Data)
+			table.Scatter(y.Data, evs, 1, side, side, side, side)
+		})
 		if speedup := float64(csr) / float64(event); speedup < 0.5 {
-			t.Fatalf("event forward runs at %.2f× weight-only CSR (CSR %v, event %v)", speedup, csr, event)
+			t.Fatalf("synapse walk runs at %.2f× im2col plus weight-only CSR (CSR %v, walk %v)", speedup, csr, event)
 		}
 	})
 }

@@ -1,42 +1,85 @@
 package sparse
 
 import (
+	"math"
 	"testing"
 
 	"ndsnn/internal/rng"
 	"ndsnn/internal/tensor"
 )
 
-// Tests for the tape-replay gradient kernel (events as the cached-activation
-// operand), pinned against the dense-operand SDDMM it replaces, plus the
-// Events row round trip and the FuseTimesteps edge cases.
+// Tests for the tape-replay kernels: the gradient walk over recorded spike
+// lists, pinned against the dense-operand SDDMM it replaces, and the Events
+// row round trip.
 
+// TestCSRGradABTEventsMatchesDense pins the gradient walk
+// (ConvTable.ScatterGrad) bit for bit against CSRGradABTSerial over the
+// dense im2col of the decoded spikes, as the fused replay sums it: two
+// timesteps walked in order into one CSR-ordered partial against one SDDMM
+// over the column-concatenated timesteps. The geometries cover strides 1, 2
+// and 3, 1×1 and 5×5 kernels and h ≠ w; the rates no spikes and every
+// position firing; and every table has a live weight of exactly zero, which
+// keeps its slot because the table is keyed on the mask.
 func TestCSRGradABTEventsMatchesDense(t *testing.T) {
-	const m, k, q = 9, 33, 24
-	for _, rate := range spikeRates {
-		r := rng.New(301 + uint64(rate*100))
-		_, c := maskedWeights(m, k, 0.3, r)
-		dy := tensor.New(m, q)
-		for i := range dy.Data {
-			dy.Data[i] = r.NormFloat32()
-		}
-		col := spikeMatrix(k, q, rate, r)
-		ev, ok := EncodeEvents(col)
-		if !ok {
-			t.Fatal("binary operand rejected")
-		}
-		want := make([]float32, c.NNZ())
-		CSRGradABTSerial(want, c, dy, col)
-		got := make([]float32, c.NNZ())
-		CSRGradABTEventsSerial(got, c, dy, ev)
-		if d := maxAbsDiff(want, got); d > 1e-5 {
-			t.Fatalf("rate %v: events ABT kernel differs by %v", rate, d)
-		}
-		// Accumulation adds on top of prior contents like the reference.
-		CSRGradABTEventsSerial(got, c, dy, ev)
-		CSRGradABTSerial(want, c, dy, col)
-		if d := maxAbsDiff(want, got); d > 1e-5 {
-			t.Fatalf("rate %v: events ABT accumulate differs by %v", rate, d)
+	const T = 2
+	geoms := []convGeom{
+		{inC: 3, outC: 5, k: 3, stride: 1, pad: 1, h: 6, w: 6},
+		{inC: 4, outC: 3, k: 3, stride: 2, pad: 1, h: 7, w: 5},
+		{inC: 2, outC: 4, k: 3, stride: 3, pad: 0, h: 9, w: 8},
+		{inC: 5, outC: 4, k: 1, stride: 1, pad: 0, h: 4, w: 4},
+		{inC: 3, outC: 2, k: 1, stride: 2, pad: 0, h: 5, w: 7},
+		{inC: 2, outC: 3, k: 5, stride: 2, pad: 2, h: 6, w: 9},
+	}
+	for gi, g := range geoms {
+		for _, rate := range []float64{0, 0.3, 1} {
+			r := rng.New(301 + uint64(10*gi) + uint64(rate*100))
+			oh, ow := g.outSize()
+			p := oh * ow
+			ckk := g.inC * g.k * g.k
+			w := tensor.New(g.outC, ckk)
+			mask := tensor.New(g.outC, ckk)
+			for i := range w.Data {
+				if r.Float64() < 0.5 {
+					mask.Data[i] = 1
+					w.Data[i] = r.NormFloat32()
+				}
+			}
+			mask.Data[0], w.Data[0] = 1, 0
+			pattern := EncodeCSRWithMask(w, mask)
+			table := NewConvTable(w.Data, mask.Data, g.outC, g.inC, g.k, g.stride, g.pad)
+
+			dyCat := tensor.New(g.outC, T*p)
+			colCat := tensor.New(ckk, T*p)
+			got := make([]float32, pattern.NNZ())
+			for tt := 0; tt < T; tt++ {
+				var evs []Event
+				for i := 0; i < g.inC*g.h*g.w; i++ {
+					if r.Float64() < rate {
+						evs = append(evs, Event{Idx: int32(i), Val: 1})
+					}
+				}
+				spikes, _ := spikesOf(evs)
+				col := g.im2col(evs)
+				dy := make([]float32, g.outC*p)
+				for i := range dy {
+					dy[i] = r.NormFloat32()
+				}
+				table.ScatterGrad(got, spikes, dy, g.h, g.w, oh, ow)
+				for f := 0; f < g.outC; f++ {
+					copy(dyCat.Data[f*T*p+tt*p:], dy[f*p:(f+1)*p])
+				}
+				for c := 0; c < ckk; c++ {
+					copy(colCat.Data[c*T*p+tt*p:], col.Data[c*p:(c+1)*p])
+				}
+			}
+			want := make([]float32, pattern.NNZ())
+			CSRGradABTSerial(want, pattern, dyCat, colCat)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("geom %d (k=%d stride=%d %dx%d) rate %v: vals[%d] = %v, SDDMM %v",
+						gi, g.k, g.stride, g.h, g.w, rate, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
@@ -56,16 +99,6 @@ func TestEventsScatterRowRoundTrip(t *testing.T) {
 				t.Fatalf("row %d col %d: decoded %v, want %v", row, j, buf[j], x.Data[row*17+j])
 			}
 		}
-		if got, want := ev.RowNNZ(row), 0; true {
-			for j := 0; j < 17; j++ {
-				if x.Data[row*17+j] != 0 {
-					want++
-				}
-			}
-			if got != want {
-				t.Fatalf("row %d: RowNNZ %d, want %d", row, got, want)
-			}
-		}
 		// Scatter-zero erases exactly what was written, leaving the buffer
 		// reusable without a full memset.
 		ev.ScatterRowInto(row, buf, 0)
@@ -74,89 +107,5 @@ func TestEventsScatterRowRoundTrip(t *testing.T) {
 				t.Fatalf("row %d: buffer not cleared at %d (%v)", row, j, v)
 			}
 		}
-	}
-}
-
-// TestFuseTimestepsEdgeCases covers the degenerate patterns the time-major
-// engine can hand the fuser: a single timestep, all-empty event patterns, and
-// a timestep with 100% firing. In every case the fused kernel output must be
-// bit-identical to per-timestep kernel calls.
-func TestFuseTimestepsEdgeCases(t *testing.T) {
-	const m, k, n = 8, 30, 12
-	r := rng.New(341)
-	_, c := maskedWeights(m, k, 0.2, r)
-	csc := NewCSCFromCSR(c)
-
-	cases := []struct {
-		name  string
-		rates []float64
-	}{
-		{"T=1", []float64{0.15}},
-		{"all-empty", []float64{0, 0, 0}},
-		{"full-firing-single", []float64{1}},
-		{"mixed-with-full-and-empty", []float64{0, 1, 0.1}},
-	}
-	for _, tc := range cases {
-		evs := make([]*Events, len(tc.rates))
-		wants := make([]*tensor.Tensor, len(tc.rates))
-		for tt, rate := range tc.rates {
-			b := spikeMatrix(k, n, rate, r)
-			ev, ok := EncodeEvents(b)
-			if !ok {
-				t.Fatalf("%s: binary operand rejected", tc.name)
-			}
-			evs[tt] = ev
-			wants[tt] = tensor.New(m, n)
-			CSCMatMulEventsSerialInto(wants[tt], csc, ev, false)
-		}
-		fused := FuseTimesteps(evs)
-		T := len(tc.rates)
-		if fused.Rows != k || fused.Cols != T*n {
-			t.Fatalf("%s: fused shape [%d,%d], want [%d,%d]", tc.name, fused.Rows, fused.Cols, k, T*n)
-		}
-		wantNNZ := 0
-		for _, ev := range evs {
-			wantNNZ += ev.NNZ()
-		}
-		if fused.NNZ() != wantNNZ {
-			t.Fatalf("%s: fused NNZ %d, want %d", tc.name, fused.NNZ(), wantNNZ)
-		}
-		dst := tensor.New(m, T*n)
-		CSCMatMulEventsSerialInto(dst, csc, fused, false)
-		for tt := 0; tt < T; tt++ {
-			for row := 0; row < m; row++ {
-				for j := 0; j < n; j++ {
-					got := dst.Data[row*T*n+tt*n+j]
-					want := wants[tt].Data[row*n+j]
-					if got != want {
-						t.Fatalf("%s: timestep %d [%d,%d]: fused %v, per-timestep %v", tc.name, tt, row, j, got, want)
-					}
-				}
-			}
-		}
-	}
-
-	// T=1 fusion must reproduce the single pattern verbatim (same indices,
-	// same row pointers) — the fuser is a no-op there beyond a copy.
-	b := spikeMatrix(k, n, 0.2, r)
-	ev, _ := EncodeEvents(b)
-	fused := FuseTimesteps([]*Events{ev})
-	if fused.NNZ() != ev.NNZ() {
-		t.Fatalf("T=1 fuse changed NNZ: %d vs %d", fused.NNZ(), ev.NNZ())
-	}
-	for i, j := range ev.ColIdx {
-		if fused.ColIdx[i] != j {
-			t.Fatalf("T=1 fuse changed ColIdx[%d]: %d vs %d", i, fused.ColIdx[i], j)
-		}
-	}
-	for i, p := range ev.RowPtr {
-		if fused.RowPtr[i] != p {
-			t.Fatalf("T=1 fuse changed RowPtr[%d]: %d vs %d", i, fused.RowPtr[i], p)
-		}
-	}
-
-	// Zero timesteps is defined as an empty pattern, not a panic.
-	if empty := FuseTimesteps(nil); empty.NNZ() != 0 || empty.Rows != 0 {
-		t.Fatalf("empty fuse: %+v", empty)
 	}
 }

@@ -29,13 +29,14 @@
 // The two orders are equivalent for temporally-unrolled feedforward networks
 // — inter-layer data flow is per-timestep and recurrence lives inside a
 // layer — but time-major hands each layer its whole input sequence at once,
-// which lets Conv2d fuse the T event patterns of a sample
-// (sparse.FuseTimesteps) and compute all T forward passes in one traversal
-// of the weight matrix. Layers opt into the fused path by implementing
-// SequenceLayer (Conv2d's per-timestep Forward is just ForwardSeq at T=1,
-// and Linear runs as Conv2d's 1×1 case);
-// everything else is driven per timestep in order, which is exactly what the
-// step-major schedule would have done to it.
+// which lets Conv2d take the event-driven path for a sample only when all
+// T timesteps are sparse enough, and replay them together: one
+// backward-data traversal of the weight matrix for all T, and one gradient
+// walk per timestep over the recorded spike lists. Layers opt into this by
+// implementing SequenceLayer (Conv2d's per-timestep Forward is just
+// ForwardSeq at T=1, and Linear runs as Conv2d's 1×1 case); everything else
+// is driven per timestep in order, which is exactly what the step-major
+// schedule would have done to it.
 //
 // The package sits just above internal/sparse and internal/tensor; the layer
 // library stores its caches in tape Stacks, and internal/snn's Network drives

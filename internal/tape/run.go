@@ -15,8 +15,8 @@ type Layer interface {
 // sequence at once — the time-major fast path. ForwardSeq must be
 // semantically identical to T successive Forward calls (including what it
 // records for backward); it exists so a layer can amortize work across
-// timesteps, e.g. Conv2d's fused event GEMM traverses its weight matrix once
-// for all T timesteps. Conv2d, Linear and ResidualBlock have no separate
+// timesteps, e.g. Conv2d gates a sample's event-driven forward on the spike
+// occupancy of all T timesteps together. Conv2d, Linear and ResidualBlock have no separate
 // per-timestep forward: their Forward is ForwardSeq's T=1 case.
 type SequenceLayer interface {
 	Layer
@@ -28,8 +28,8 @@ type SequenceLayer interface {
 // per-timestep output gradients (dys[t] for t = 0..T-1) and must accumulate
 // the same parameter gradients (up to float summation order) and return the
 // same input gradients as T Backward calls in reverse order — fusing the
-// timesteps lets Conv2d pay one weight traversal and one event-pattern
-// overhead for all T. Conv2d, Linear and ResidualBlock implement Backward as
+// timesteps lets Conv2d pay one backward-data weight traversal for all T.
+// Conv2d, Linear and ResidualBlock implement Backward as
 // BackwardSeq's T=1 case.
 type SequenceBackwardLayer interface {
 	Layer

@@ -28,7 +28,7 @@ func (m *Model) EvaluateQuantized(bits, n int) (acc, synOpsPerSample, denseMACsP
 	defer func() {
 		for i, p := range params {
 			p.W.CopyFrom(snapshot[i])
-			// The cached CSR/CSC encodings were (re)built against the
+			// The cached CSR encoding was (re)built against the
 			// quantized values; drop them so the training path re-encodes
 			// from the restored weights.
 			p.InvalidateCSR()
